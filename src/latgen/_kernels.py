@@ -8,10 +8,11 @@ the machine. Processes that import at the same time each compile to a
 temporary name and move the result into place with os.replace, so none of
 them can load a half-written file.
 
-The numpy implementation in latgen._slowpath is the fallback: it is used when
-LATGEN_PURE=1 is set, the cache cannot be written, no compiler is found, or
-the compile fails. BACKEND is "c" or "numpy"; BACKEND_REASON says which
-library was loaded or why the fallback was chosen. accumulate_product and
+The C kernel holds dbd_construct alone. The numpy implementation in
+latgen._slowpath is the fallback: it is used when LATGEN_PURE=1 is set, the
+cache cannot be written, no compiler is found, or the compile fails. BACKEND
+is "c" or "numpy"; BACKEND_REASON says which library was loaded or why the
+fallback was chosen. dbd_score_pair, dbd_update, accumulate_product and
 gather_score are numpy in both cases.
 """
 
@@ -103,19 +104,10 @@ def _load():
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     f64_out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     u64_out = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    i, i64, u64, dbl = ctypes.c_int, ctypes.c_int64, ctypes.c_uint64, ctypes.c_double
-    lib.dbd_score_pair.argtypes = [f64, f64, i, i, u64, dbl, f64_out]
-    lib.dbd_update.argtypes = [f64_out, f64, i, i, u64, dbl]
-    lib.dbd_construct.argtypes = [f64_out, f64, i, i64, f64, dbl, u64_out]
-    for fn in (lib.dbd_score_pair, lib.dbd_update, lib.dbd_construct):
-        fn.restype = None
+    lib.dbd_construct.argtypes = [f64_out, f64, ctypes.c_int, ctypes.c_int64, f64,
+                                  ctypes.c_double, f64_out, u64_out]
+    lib.dbd_construct.restype = None
     return lib, path
-
-
-def _check(p, ktab, n, v):
-    """Bounds the C loops rely on: slots p[0 .. 2^n - 2], ktab[0 .. 2^n - 1]."""
-    if not 1 <= v <= n or p.shape[0] < (1 << n) - 1 or ktab.shape[0] < (1 << n):
-        raise ValueError("need 1 <= v <= n, len(p) >= 2^n - 1 and len(ktab) >= 2^n")
 
 
 try:
@@ -125,28 +117,20 @@ except _Unavailable as exc:
     _lib = None
     BACKEND, BACKEND_REASON = "numpy", str(exc)
 
+dbd_score_pair = _slowpath.dbd_score_pair
+dbd_update = _slowpath.dbd_update
 accumulate_product = _slowpath.accumulate_product
 gather_score = _slowpath.gather_score
 
 if _lib is None:
-    dbd_score_pair = _slowpath.dbd_score_pair
-    dbd_update = _slowpath.dbd_update
     dbd_construct = _slowpath.dbd_construct
 else:
 
-    def dbd_score_pair(p, ktab, n, v, x0, gamma):
-        _check(p, ktab, n, v)
-        out = np.empty(2)
-        _lib.dbd_score_pair(p, ktab, n, v, x0, gamma, out)
-        return float(out[0]), float(out[1])
-
-    def dbd_update(p, ktab, n, v, z, gamma):
-        _check(p, ktab, n, v)
-        _lib.dbd_update(p, ktab, n, v, z, gamma)
-
     def dbd_construct(p, ktab, n, gammas, rtol):
-        _check(p, ktab, n, n)
+        # The C loops read p[0 .. 2^n - 2] and ktab[0 .. 2^n - 1].
+        if n < 1 or p.shape[0] < (1 << n) - 1 or ktab.shape[0] < (1 << n):
+            raise ValueError("need n >= 1, len(p) >= 2^n - 1 and len(ktab) >= 2^n")
         g = np.ascontiguousarray(gammas, dtype=np.float64)
         z = np.empty(g.shape[0], dtype=np.uint64)
-        _lib.dbd_construct(p, ktab, n, g.shape[0], g, rtol, z)
-        return [int(x) for x in z]
+        _lib.dbd_construct(p, ktab, n, g.shape[0], g, rtol, np.empty(1 << n), z)
+        return z.tolist()

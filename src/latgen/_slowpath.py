@@ -1,7 +1,9 @@
 """Pure-numpy implementations of the hot inner loops.
 
-The CBC-DBD functions have the same signatures as the C kernel in _dbd.c;
-latgen._kernels picks one of the two at import time.
+dbd_construct is the numpy twin of the C kernel in _dbd.c, and
+latgen._kernels picks one of the two at import time. dbd_score_pair and
+dbd_update are the per-level walk that h_bar and update_p use on both
+backends; they are the reference the per-component fold is tested against.
 """
 
 import numpy as np
@@ -40,17 +42,46 @@ def dbd_update(p, ktab, n, v, z, gamma):
     p[(k << (n - v)) - 1] *= 1.0 + gamma * ktab[idx]
 
 
+def dbd_fold(p, n, P):
+    """Level sums P_v[k] = sum_{t=v..n} 2^(v-t) sum_{odd j < 2^t, j = k mod 2^v}
+    q(t, j) of the state p, for odd k < 2^v, v = 2..n, into P[2^(v-1) + (k-1)/2]
+    (P has 2^n entries), folded down from v = n by
+    P_v[k] = q(v, k) + (P_{v+1}[k] + P_{v+1}[k + 2^v]) / 2.
+
+    The level-v score of a candidate x is then
+    sum_k P_v[k] * (1 + gamma * ktab[(k x mod 2^v) * 2^(n-v)]), the value
+    dbd_score_pair returns, for as long as only slots of levels below v change.
+    """
+    for v in range(n, 1, -1):
+        half = 1 << (v - 1)
+        q = p[(1 << (n - v)) - 1 : (1 << n) - 1 : 1 << (n - v + 1)]
+        if v == n:
+            P[half : 2 * half] = q
+        else:
+            P[half : 2 * half] = q + 0.5 * (P[2 * half : 3 * half] + P[3 * half : 4 * half])
+
+
 def dbd_construct(p, ktab, n, gammas, rtol):
-    """Components for the weights gammas, one bit level at a time, built on
-    the state p (updated in place). The level-v bit is set only if
-    s1 < s0 - rtol * |s0|."""
+    """Components for the weights gammas, built on the state p (updated in
+    place). Each component folds p once (dbd_fold) and then picks its bits
+    from level 2 up. With s0 the score of bit 0 and dd the score difference
+    of bit 1 minus bit 0, summed term by term, the level-v bit is set only if
+    gamma * dd < -rtol * |s0|."""
+    P = np.empty(1 << n)
+    odd = np.arange(1, 1 << n, 2, dtype=np.int64)
     z = []
     for gamma in gammas:
+        dbd_fold(p, n, P)
         zr = 1
         for v in range(2, n + 1):
-            s0, s1 = dbd_score_pair(p, ktab, n, v, zr, gamma)
-            if s1 < s0 - rtol * abs(s0):
-                zr += 1 << (v - 1)
+            half = 1 << (v - 1)
+            Pv = P[half : 2 * half]
+            a = (odd[:half] * zr) & (2 * half - 1)
+            k0 = ktab[a << (n - v)]
+            k1 = ktab[(a ^ half) << (n - v)]
+            s0 = float(Pv.sum()) + gamma * float(Pv @ k0)
+            if gamma * float(Pv @ (k1 - k0)) < -rtol * abs(s0):
+                zr += half
             dbd_update(p, ktab, n, v, zr, gamma)
         z.append(zr)
     return z

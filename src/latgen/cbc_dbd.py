@@ -2,10 +2,13 @@
 
 Each component z_r is built one bit at a time, least significant bit first.
 The bit at level v is chosen to minimize the reduced digit-wise quality
-h_bar, evaluated from the running product vector p in O(sum_t 2^(t-1)) per
-candidate. The full (general-weight) quality function h differs from h_bar
-only by the additive constant C(n, v), so both greedy paths agree; the slow
-subset-sum evaluation h_naive is kept as a differential oracle.
+h_bar over the running product vector p. The construction folds p into
+per-level sums once per component, in O(N), after which one bit costs
+O(2^(v-1)), so a component costs O(N) and the whole vector O(s N). h_bar
+itself walks p directly, in O(sum_t 2^(t-1)) per candidate, and serves as the
+fold's reference. The full (general-weight) quality function h differs from
+h_bar only by the additive constant C(n, v), so both greedy paths agree; the
+slow subset-sum evaluation h_naive is kept as a differential oracle.
 """
 
 import math
@@ -36,7 +39,12 @@ H_NAIVE_MAX_R = 12
 
 #: Relative margin by which bit 1 must beat bit 0. Exact ties are common (at
 #: v = 2, x and -x mod 4 always tie); without a margin they would be decided
-#: by rounding, which differs between the C kernel and numpy.
+#: by rounding, which differs between the C kernel and numpy. The margin is
+#: compared with the score difference summed term by term, not with the
+#: difference of two rounded scores, so the rounding of two large scores no
+#: longer decides. Rounding in that difference still can (the C kernel sums in
+#: order, numpy's dot product in its BLAS's order), but only for margins within
+#: about eps * sum_k |P_v[k] (K1 - K0)| of the threshold.
 TIE_RTOL = 1e-12
 
 
@@ -116,9 +124,10 @@ def update_p(state: DigitState, r: int, v: int, z_rv: int) -> DigitState:
 def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
     """Greedy bitwise construction of z = (1, z_2, ..., z_s) for N = 2^n.
 
-    Per bit the two candidates are scored in one fused pass. Bit 0 is kept
-    unless bit 1 scores s1 < s0 - TIE_RTOL * |s0|, so a tie (exact, or up to
-    rounding) goes to bit 0 whatever the backend or summation order.
+    O(s N) time and O(N) memory. Per bit the two candidates are scored in one
+    pass over the level sums. Bit 0 is kept unless bit 1 scores lower by more
+    than TIE_RTOL * |s0|, with s0 the score of bit 0, so a tie goes to bit 0
+    on every backend unless the rounding in the difference reaches that margin.
     """
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")

@@ -66,11 +66,15 @@ def read_vector(path: str) -> GeneratingVector:
         body = lines[3:]
         if len(body) != s:
             raise UsageError("expected %d component lines, found %d" % (s, len(body)))
-        z = [0] * s
+        z = {}
         for ln in body:
             j_str, z_str = ln.split()
-            z[int(j_str) - 1] = int(z_str)
-        return GeneratingVector(N, tuple(z))
+            j = int(j_str)
+            if not 1 <= j <= s or j in z:
+                raise UsageError("component index %d is out of range 1..%d or repeated"
+                                 % (j, s))
+            z[j] = int(z_str)
+        return GeneratingVector(N, tuple(z[j] for j in range(1, s + 1)))
     except (IndexError, ValueError) as exc:
         raise UsageError("malformed vector file %s: %s" % (path, exc))
 

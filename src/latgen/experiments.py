@@ -208,7 +208,7 @@ def _run_table1(cfg: ExperimentConfig, out_dir: str):
     checks = []
     ratio_n = grid[(14, 100)] / grid[(12, 100)]
     _check(checks, "N-scaling n=14/n=12", ratio_n <= 5.5,
-           "ratio %.2f (limit 5.5, model predicts ~4.7)" % ratio_n)
+           "ratio %.2f (limit 5.5, O(s N) predicts ~4)" % ratio_n)
     ratio_s = grid[(14, 200)] / grid[(14, 100)]
     _check(checks, "s-scaling s=200/s=100", ratio_s <= 2.6,
            "ratio %.2f (limit 2.6, model predicts ~2.0)" % ratio_s)

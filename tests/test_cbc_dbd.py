@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latgen.cbc_dbd import (
+    TIE_RTOL,
     C_constant,
     DigitState,
     H_quantity,
@@ -13,7 +14,7 @@ from latgen.cbc_dbd import (
     new_digit_state,
     update_p,
 )
-from latgen.kernel import log_inv_sin2
+from latgen.kernel import kernel_table, log_inv_sin2
 from latgen.numtheory import GeneratingVector
 from latgen.weights import GeneralWeights, ProductWeights
 
@@ -103,6 +104,43 @@ def test_construct_cbc_dbd_matches_exhaustive_greedy():
             )
             assert chosen <= other + 1e-9 * abs(other)
         z_prev.append(zr)
+
+
+def _fold_oracle(n, gammas):
+    """CBC-DBD with the fold and tie rule of the library, but with every score
+    sum correctly rounded (math.fsum), so no summation order decides a bit."""
+    ktab = kernel_table(1 << n).padded()
+    p = 1.0 + gammas[0] * ktab[1:]
+    odd = np.arange(1, 1 << n, 2, dtype=np.int64)
+    z = [1]
+    for gamma in gammas[1:]:
+        P = {n + 1: np.zeros(1 << n)}
+        for v in range(n, 1, -1):
+            half = 1 << (v - 1)
+            P[v] = p[(odd[:half] << (n - v)) - 1] + 0.5 * (P[v + 1][:half] + P[v + 1][half:])
+        zr = 1
+        for v in range(2, n + 1):
+            half, shift = 1 << (v - 1), n - v
+            k = odd[:half]
+            a = (k * zr) & (2 * half - 1)
+            k0, k1 = ktab[a << shift], ktab[(a ^ half) << shift]
+            s0 = math.fsum(P[v]) + gamma * math.fsum(P[v] * k0)
+            if gamma * math.fsum(P[v] * (k1 - k0)) < -TIE_RTOL * abs(s0):
+                zr += half
+            p[(k << shift) - 1] *= 1.0 + gamma * ktab[((k * zr) & (2 * half - 1)) << shift]
+        z.append(zr)
+    return z
+
+
+@pytest.mark.parametrize("n, c", [(10, 0.518), (12, 0.632), (12, 0.642), (12, 0.692),
+                                  (12, 0.694), (12, 0.71), (12, 0.722)])
+def test_construct_cbc_dbd_matches_fsum_oracle(n, c):
+    """Geometric weights whose level-v score differences sit right at
+    TIE_RTOL: comparing two rounded sums decided these cells by rounding."""
+    gammas = [c**j for j in range(1, 101)]
+    assert list(construct_cbc_dbd(n, 100, ProductWeights(tuple(gammas))).z) == _fold_oracle(
+        n, gammas
+    )
 
 
 def test_construct_cbc_dbd_rejects_bad_args():

@@ -42,6 +42,18 @@ def test_read_vector_rejects_malformed(tmp_path):
         read_vector(path)
 
 
+@pytest.mark.parametrize("body", ["0 3\n1 5\n", "1 3\n1 5\n", "1 3\n3 5\n"],
+                         ids=["index 0", "repeated index", "index above s"])
+def test_vector_component_indices_are_1_to_s_once(tmp_path, capsys, body):
+    path = tmp_path / "v.txt"
+    path.write_text(VECTOR_MAGIC + "\nN=8\ns=2\n" + body)
+    with pytest.raises(ValueError, match="component index"):
+        read_vector(str(path))
+    assert main(["error", "--vector", str(path), "--alpha", "2",
+                 "--weights", "product:1/j^2"]) == 2
+    capsys.readouterr()
+
+
 def test_parse_weight_spec_formulas():
     w = parse_weight_spec("product:1/j^2").resolve(3)
     assert w.gammas == (1.0, 0.25, pytest.approx(1.0 / 9.0))
