@@ -2,11 +2,33 @@
 
 Two quality functions are supported: the log-sine quality V (smoothness-free,
 prime N) and the worst-case error itself (the standard CBC benchmark, prime or
-power-of-two N). For prime N all candidate scores come from one cyclic
-convolution after Rader's primitive-root reindexing; for N = 2^n the odd
-residues split into the two cosets +-5^i, giving per-level convolutions.
-Both fast paths re-score near-minimal candidates with the exact gather sum, so
-they make bit-identical selections with the naive O(N^2) mode.
+power-of-two N). Component d minimizes, over the candidates z, the score
+sum_{k=1}^{N-1} q[k-1] * tab[(k z) mod N], where q is the running product
+over the earlier components.
+
+The fast mode is Nuyens and Cools' fast CBC on numpy.fft. `scoring_plan`
+builds, once per construction, the index arrays that reorder q and the
+spectrum of the reordered kernel; after that one-off cost every component
+costs one gather of q, one rfft/irfft pair, O(N log N), and the exact rescore.
+
+- Prime N: in the order of powers of a primitive root g the scores are a
+  cyclic correlation. Since g^((N-1)/2) = -1 and the kernel table is exactly
+  symmetric, the reordered kernel has period H = (N-1)/2, so q is folded over
+  +- to length H and correlated with two periods of the kernel as one
+  zero-padded product of power-of-two length M >= N - 2, whatever the
+  factors of N - 1.
+- N = 2^n: writing k = 2^c k' with k' odd splits the score into levels. The
+  odd residues mod M = N/2^c are the cosets +-5^i, so each level is a cyclic
+  correlation of length M/4 of the +- folded q. The level spectra are summed
+  and inverted once, at length N/4.
+
+The scores of z and N - z are bit-equal (the tables are exactly symmetric), so
+only z <= N/2 are scored. Each score vector comes with a bound on the FFT's
+rounding error. Every candidate whose score lies within twice that bound of
+the minimum is rescored with the exact gather sum, and the smallest z wins
+ties. While each score lies within the bound of its gather sum, the naive
+mode's choice is among the rescored candidates, so the fast mode selects the
+same vectors as the naive O(N^2) mode.
 """
 
 import math
@@ -17,27 +39,17 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .fft import cyclic_convolution
 from .kernel import LN4, fourier_decay_table, kernel_table
 from .numtheory import GeneratingVector, is_prime, primitive_root
 from .weights import ProductWeights, weight_of
 
 __all__ = [
-    "CbcState",
     "V_quality",
     "construct_korobov_cbc",
     "construct_standard_cbc",
-    "rader_scores",
 ]
 
-
-@dataclass
-class CbcState:
-    """Running CBC state: q[k-1] = prod_{j<=r} (1 + gamma_j * ker[(k z_j) mod N])."""
-
-    N: int
-    q: np.ndarray
-    r: int
+_EPS = float(np.finfo(float).eps)
 
 
 def _omega_padded(N: int) -> np.ndarray:
@@ -67,40 +79,112 @@ def V_quality(v: GeneratingVector, w) -> float:
     return math.fsum(total)
 
 
-def rader_scores(q: np.ndarray, kernel: np.ndarray, N: int) -> np.ndarray:
-    """scores[z-1] = sum_{k=1}^{N-1} q[k-1] * kernel[(k z mod N) - 1] for prime N.
+def _powers(g: int, L: int, N: int) -> np.ndarray:
+    """[g^0, ..., g^(L-1)] mod N by doubling; N < 2^31 keeps the products exact."""
+    pw = np.ones(L, dtype=np.int64)
+    n = 1
+    while n < L:
+        m = min(n, L - n)
+        pw[n : n + m] = pw[:m] * pow(g, n, N) % N
+        n += m
+    return pw
 
-    Reindexing k = g^i, z = g^m turns the score matrix into a circulant, so a
-    single length-(N-1) cyclic convolution produces every candidate's score.
+
+@dataclass(frozen=True)
+class _Level:
+    """One cyclic correlation: q[i1] + q[i2] against the spectrum K."""
+
+    i1: np.ndarray
+    i2: np.ndarray
+    length: int  # transform length of q[i1] + q[i2]
+    K: np.ndarray  # rfft of the reordered kernel, times the tiling factor
+    step: int  # K lands on every step-th bin of the summed spectrum
+    kernel_norm: float
+
+
+@dataclass(frozen=True)
+class ScoringPlan:
+    """Candidates z <= N/2 and what scores all of them at once.
+
+    scores(q)[i] approximates gather_score(q, tab, z[i], 1); the returned
+    bound caps the difference.
     """
+
+    z: np.ndarray
+    levels: Tuple[_Level, ...]
+    size: int  # length of the one inverse transform
+    const_idx: np.ndarray  # q slots whose kernel value is the same for every z
+    const_tab: np.ndarray
+
+    def scores(self, q: np.ndarray):
+        spec = None
+        weight = 0.0
+        for lv in self.levels:
+            a = q[lv.i1] + q[lv.i2]
+            # correlation sum_i a[i] b[i + m] has spectrum conj(A) * B
+            term = np.conj(np.fft.rfft(a, lv.length)) * lv.K
+            if spec is None:
+                spec = term
+            else:
+                spec[:: lv.step] += term
+            weight += float(np.linalg.norm(a)) * lv.kernel_norm
+        sc = np.fft.irfft(spec, self.size)[: self.z.shape[0]]
+        sc += float(q[self.const_idx] @ self.const_tab)
+        # Per transform, each entry of irfft(rfft(a) * rfft(b)) is within
+        # log2(size) * eta * ||a||_2 * ||b||_2 of exact (Cauchy-Schwarz on the
+        # spectra; eta <= 8 eps covers a butterfly and its twiddle's error).
+        # Three transforms take part: a's, the cached kernel's and the inverse.
+        # The measured distance to the gather sum stays below 2% of this.
+        bound = 3 * 8 * _EPS * math.log2(max(self.size, 2)) * weight
+        return sc, bound
+
+
+def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
+    """The scoring plan for prime N >= 3 or N = 2^n >= 8; tab is the padded,
+    exactly symmetric kernel table (tab[a] == tab[N - a])."""
+    tab = np.asarray(tab, dtype=float)
+    if tab.shape != (N,) or not np.array_equal(tab[1:], tab[:0:-1]):
+        raise ValueError("tab must have length N and satisfy tab[a] == tab[N - a]")
+    if N >= 1 << 31:
+        raise ValueError("the fast mode needs N < 2^31")
+    if N >= 8 and N & (N - 1) == 0:
+        n = N.bit_length() - 1
+        Q = N // 4
+        pw = _powers(5, Q, N)
+        levels = []
+        for c in range(n - 2):
+            M = N >> c
+            L = M // 4
+            p = pw[:L] % M
+            kt = tab[p << c]
+            levels.append(_Level(i1=(p << c) - 1, i2=((M - p) << c) - 1, length=L,
+                                 K=(Q // L) * np.fft.rfft(kt), step=Q // L,
+                                 kernel_norm=float(np.linalg.norm(kt))))
+        # k = N/2 and k = N/4, 3N/4 meet tab[N/2] and tab[N/4] for every odd z
+        return ScoringPlan(z=np.minimum(pw, N - pw), levels=tuple(levels), size=Q,
+                           const_idx=np.array([N // 2 - 1, N // 4 - 1, 3 * N // 4 - 1]),
+                           const_tab=tab[[N // 2, N // 4, N // 4]])
     if not is_prime(N) or N < 3:
-        raise ValueError("rader_scores requires a prime N >= 3")
-    L = N - 1
-    if q.shape[0] != L or kernel.shape[0] != L:
-        raise ValueError("arrays must have length N-1")
-    g = primitive_root(N)
-    pw = np.empty(L, dtype=np.int64)
-    val = 1
-    for i in range(L):
-        pw[i] = val
-        val = (val * g) % N
-    a = np.asarray(q, dtype=float)[pw - 1]
-    b = np.asarray(kernel, dtype=float)[pw - 1]
-    a_rev = a[(-np.arange(L)) % L]
-    c = cyclic_convolution(a_rev, b)
-    out = np.empty(L)
-    out[pw - 1] = c
-    return out
+        raise ValueError("the fast mode needs a prime N >= 3 or N = 2^n >= 8")
+    H = (N - 1) // 2
+    pw = _powers(primitive_root(N), H, N)
+    b = tab[pw]
+    b2 = np.concatenate([b, b[:-1]])  # b[(i + m) mod H] for i, m < H
+    M = 1 << (b2.shape[0] - 1).bit_length()
+    level = _Level(i1=pw - 1, i2=N - pw - 1, length=M, K=np.fft.rfft(b2, M), step=1,
+                   kernel_norm=float(np.linalg.norm(b2)))
+    return ScoringPlan(z=np.minimum(pw, N - pw), levels=(level,), size=M,
+                       const_idx=np.empty(0, dtype=np.int64), const_tab=np.empty(0))
 
 
-def _refined_argmin(z_candidates: np.ndarray, scores: np.ndarray, q, tab) -> int:
-    """Exact-rescore every near-minimal candidate; smallest z wins ties."""
-    m = float(scores.min())
-    thresh = m + 1e-9 * abs(m) + 1e-12
+def _refined_argmin(plan: ScoringPlan, q: np.ndarray, tab: np.ndarray) -> int:
+    """Exact-rescore every candidate within 2 * bound of the minimal FFT score;
+    smallest z wins ties."""
+    sc, bound = plan.scores(q)
+    near = np.sort(plan.z[sc <= sc.min() + 2.0 * bound])
     best_z = None
     best_val = math.inf
-    for i in np.flatnonzero(scores <= thresh):
-        zz = int(z_candidates[i])
+    for zz in near.tolist():
         val = _kernels.gather_score(q, tab, zz, 1)
         if val < best_val:
             best_val = val
@@ -108,79 +192,25 @@ def _refined_argmin(z_candidates: np.ndarray, scores: np.ndarray, q, tab) -> int
     return best_z
 
 
-def _scores_pow2_fast(q: np.ndarray, tab: np.ndarray, N: int) -> np.ndarray:
-    """Scores for every odd candidate, indexed (z-1)//2, for N = 2^n >= 16.
-
-    Split k = 2^c * k' with k' odd; each level is a correlation over the odd
-    residues mod M = N / 2^c. Because the kernel table is symmetric and the
-    odd residues are the two cosets +-5^i, folding q over +- reduces each
-    level to one cyclic correlation of length M/4.
-    """
-    n = N.bit_length() - 1
-    quarter = N // 4
-    vec = np.zeros(quarter)
-    const = 0.0
-    for c in range(n):
-        M = N >> c
-        if M == 2:
-            const += q[(1 << c) - 1] * tab[1 << c]
-        elif M == 4:
-            const += (q[(1 << c) - 1] + q[3 * (1 << c) - 1]) * tab[N // 4]
-        else:
-            order = M // 4
-            pw = np.empty(order, dtype=np.int64)
-            val = 1
-            for i in range(order):
-                pw[i] = val
-                val = (val * 5) % M
-            aq = q[(pw << c) - 1] + q[((M - pw) << c) - 1]
-            kt = tab[pw << c]
-            aq_rev = aq[(-np.arange(order)) % order]
-            corr = cyclic_convolution(aq_rev, kt)
-            vec += np.tile(corr, quarter // order)
-    pw_n = np.empty(quarter, dtype=np.int64)
-    val = 1
-    for i in range(quarter):
-        pw_n[i] = val
-        val = (val * 5) % N
-    sc = np.empty(N // 2)
-    sc[(pw_n - 1) // 2] = vec + const
-    sc[(N - pw_n - 1) // 2] = vec + const
-    return sc
-
-
 def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray, mode: str):
     """Shared greedy loop; tab is the padded per-residue kernel table."""
     if mode not in ("fast", "naive"):
         raise ValueError("mode must be 'fast' or 'naive'")
     power_of_two = N & (N - 1) == 0
-    if power_of_two:
-        z_candidates = np.arange(1, N, 2, dtype=np.int64)
-    else:
-        z_candidates = np.arange(1, N, dtype=np.int64)
+    plan = None
+    if mode == "fast" and (not power_of_two or N >= 8):
+        plan = scoring_plan(N, tab)
+    z_candidates = np.arange(1, N, 2 if power_of_two else 1, dtype=np.int64)
     q = 1.0 + gammas[0] * tab[1:]
-    state = CbcState(N=N, q=q, r=1)
     z = [1]
     for d in range(2, s + 1):
-        gamma_d = gammas[d - 1]
-        use_fast = mode == "fast" and (not power_of_two or N >= 16)
-        if use_fast:
-            if power_of_two:
-                sc = _scores_pow2_fast(state.q, tab, N)
-            else:
-                sc = rader_scores(state.q, tab[1:], N)
-                # scores for z and N-z agree in exact arithmetic (kernel
-                # symmetry); make that exact so ties resolve to smaller z
-                sc = 0.5 * (sc + sc[::-1])
-            zd = _refined_argmin(z_candidates, sc, state.q, tab)
+        if plan is not None:
+            zd = _refined_argmin(plan, q, tab)
         else:
-            vals = np.array(
-                [_kernels.gather_score(state.q, tab, int(zz), 1) for zz in z_candidates]
-            )
+            vals = [_kernels.gather_score(q, tab, int(zz), 1) for zz in z_candidates]
             zd = int(z_candidates[int(np.argmin(vals))])
         z.append(zd)
-        _kernels.accumulate_product(state.q, tab, zd, gamma_d, 1)
-        state.r = d
+        _kernels.accumulate_product(q, tab, zd, gammas[d - 1], 1)
     return GeneratingVector(N, tuple(z))
 
 

@@ -14,7 +14,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .fft import fft
 from .kernel import fourier_decay_table, zeta
 from .numtheory import GeneratingVector
 from .weights import ProductWeights, WeightSpec, weight_of
@@ -183,9 +182,9 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
     if alpha < 1.0:
         raise ValueError("requires alpha >= 1")
     res = np.arange(1, N, dtype=float)
-    c = np.zeros(N, dtype=complex)
+    c = np.zeros(N)
     c[1:] = res ** (-alpha) + (N - res) ** (-alpha)
-    tab = np.ascontiguousarray(np.real(fft(c, "forward")))
+    tab = np.ascontiguousarray(np.fft.fft(c).real)
     tab[0] = 2.0 * math.fsum(mm ** (-alpha) for mm in range(1, N))
     tab[1:] = 0.5 * (tab[1:] + tab[1:][::-1])
     return tab

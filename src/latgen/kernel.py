@@ -180,15 +180,13 @@ def fourier_decay_table(alpha: float, N: int, tol: float = 1e-12) -> np.ndarray:
         table = _decay_closed_form(int(alpha), a)
         table[1:] = 0.5 * (table[1:] + table[1:][::-1])
         return table
-    from .fft import fft  # local import: fft has no dependency back on kernel
-
     # S[res] = sum over positive m congruent to res mod N of m^-alpha
     res = np.arange(N, dtype=float)
     S = np.empty(N)
     S[0] = zeta(alpha)
     S[1:] = _hurwitz_zeta(alpha, res[1:] / N)
     S *= float(N) ** (-alpha)
-    table = 2.0 * np.real(fft(S.astype(complex), "forward"))
+    table = 2.0 * np.fft.fft(S).real
     table[0] = 2.0 * zeta(alpha)
     # cosine symmetry: make table[a] == table[N-a] exact as stored
     table[1:] = 0.5 * (table[1:] + table[1:][::-1])

@@ -28,8 +28,13 @@ from latgen.error import (
     wce_bruteforce,
     wce_product,
 )
-from latgen.fft import cyclic_convolution, fft
-from latgen.kernel import LN4, log_inv_sin2, vartheta_truncated
+from latgen.kernel import (
+    LN4,
+    fourier_decay_sum,
+    fourier_decay_table,
+    log_inv_sin2,
+    vartheta_truncated,
+)
 from latgen.numtheory import GeneratingVector, gcd, is_prime
 from latgen.weights import ProductWeights, power_weights
 
@@ -333,21 +338,18 @@ def test_criterion_10_math_identity_suite():
     ok = ok and bad == 0
     details.append("remainder bound violations %d" % bad)
 
-    # FFT: roundtrip, Parseval, Bluestein vs naive DFT
-    rng = np.random.default_rng(7)
+    # DFT-built tables (numpy.fft) vs their series: vartheta_table against
+    # vartheta_truncated at every residue, fourier_decay_table(2.5) against
+    # fourier_decay_sum (tail <= 1e-9) at a spread of residues
     worst = 0.0
     for n in (61, 64, 100, 127):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        X = fft(x, "forward")
-        worst = max(worst, float(np.max(np.abs(fft(X, "inverse") - x))))
-        parseval = abs(
-            np.sum(np.abs(x) ** 2) - np.sum(np.abs(X) ** 2) / n
-        )
-        worst = max(worst, float(parseval))
-        j = np.arange(n)
-        naive = np.exp(-2j * np.pi * np.outer(j, j) / n) @ x
-        worst = max(worst, float(np.max(np.abs(X - naive))))
+        tab = vartheta_table(n)
+        for a in range(n):
+            worst = max(worst, abs(tab[a] - vartheta_truncated(a / n, n)))
+        tab = fourier_decay_table(2.5, n)
+        for a in (0, 1, 2, n // 3, n // 2):
+            worst = max(worst, abs(tab[a] - fourier_decay_sum(2.5, a / n, tol=1e-9)))
     ok = ok and worst <= 1e-8
-    details.append("fft dev %.1e" % worst)
+    details.append("DFT table dev %.1e" % worst)
 
     report(10, ok, "; ".join(details))

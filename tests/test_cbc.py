@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from latgen import _kernels
 from latgen.cbc import (
     V_quality,
+    _omega_padded,
     construct_korobov_cbc,
     construct_standard_cbc,
-    rader_scores,
+    scoring_plan,
 )
 from latgen.error import wce_product
-from latgen.kernel import LN4, kernel_table, omega
-from latgen.numtheory import GeneratingVector
+from latgen.kernel import fourier_decay_table, omega
+from latgen.numtheory import GeneratingVector, primitive_root
 from latgen.weights import GeneralWeights, ProductWeights, power_weights
 
 W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
+# q grows past 1e20 under these weights, where packing q and the kernel into
+# one complex transform lost the kernel's digits
+W095 = ProductWeights(tuple(0.95**j for j in range(1, 101)))
 
 
 def test_V_quality_direct_sum():
@@ -37,37 +42,90 @@ def test_V_quality_general_weights_agrees_with_product():
     assert V_quality(v, g) == pytest.approx(V_quality(v, w), rel=1e-10, abs=1e-10)
 
 
+def _conv_reference(a, b):
+    """Naive cyclic convolution c_k = sum_j a_j b_{(k - j) mod n}."""
+    n = len(a)
+    return np.array(
+        [sum(a[j] * b[(k - j) % n] for j in range(n)) for k in range(n)]
+    )
+
+
 @pytest.mark.parametrize("N", [5, 7, 13, 31, 61, 127])
 def test_rader_scores_match_direct(N):
+    """The prime plan's scores equal the direct sums and the Rader convolution."""
     rng = np.random.default_rng(N)
     q = rng.standard_normal(N - 1)
-    kernel = kernel_table(N).values - LN4
-    scores = rader_scores(q, kernel, N)
-    tab = np.concatenate([[0.0], kernel])
-    for z in range(1, N):
+    tab = _omega_padded(N)
+    plan = scoring_plan(N, tab)
+    scores, bound = plan.scores(q)
+    assert sorted(plan.z.tolist()) == list(range(1, (N - 1) // 2 + 1))
+    # Rader: with k = g^i, z = g^m the scores are a cyclic convolution
+    L = N - 1
+    pw = [pow(primitive_root(N), i, N) for i in range(L)]
+    a = np.array([q[p - 1] for p in pw])
+    b = np.array([tab[p] for p in pw])
+    conv = _conv_reference(a[(-np.arange(L)) % L], b)
+    for z, got in zip(plan.z.tolist(), scores):
         direct = sum(q[k - 1] * tab[(k * z) % N] for k in range(1, N))
-        assert scores[z - 1] == pytest.approx(direct, abs=1e-8)
+        m = pw.index(z)
+        assert conv[m] == pytest.approx(direct, abs=1e-8)
+        assert got == pytest.approx(direct, abs=1e-8)
+        assert abs(got - direct) <= bound
 
 
 def test_rader_scores_rejects_composite():
-    with pytest.raises(ValueError):
-        rader_scores(np.ones(7), np.ones(7), 8)
+    for N in (9, 12, 15):
+        with pytest.raises(ValueError):
+            scoring_plan(N, np.ones(N))
+    with pytest.raises(ValueError):  # not symmetric
+        scoring_plan(13, np.arange(13.0))
 
 
-@pytest.mark.parametrize("N", [17, 31, 61])
-def test_korobov_fast_equals_naive(N):
-    fast = construct_korobov_cbc(N, 5, W, mode="fast")
-    naive = construct_korobov_cbc(N, 5, W, mode="naive")
+@pytest.mark.parametrize(
+    "N, w, s",
+    [(17, W, 5), (31, W, 5), (61, W, 5), (127, W095, 40), (251, W095, 40)],
+    ids=["17", "31", "61", "127-0.95^j-s40", "251-0.95^j-s40"],
+)
+def test_korobov_fast_equals_naive(N, w, s):
+    fast = construct_korobov_cbc(N, s, w, mode="fast")
+    naive = construct_korobov_cbc(N, s, w, mode="naive")
     assert fast.z == naive.z
 
 
-@pytest.mark.parametrize("N", [16, 31, 32, 64, 128])
-@pytest.mark.parametrize("alpha", [2.0, 2.5])
+@pytest.mark.parametrize("N", [8, 16, 31, 32, 64, 128, 512, 1019, 2048])
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
 def test_standard_fast_equals_naive(N, alpha):
-    w = power_weights(W, alpha)
-    fast = construct_standard_cbc(N, 4, alpha, w, mode="fast")
-    naive = construct_standard_cbc(N, 4, alpha, w, mode="naive")
+    # beyond N = 128 the transforms are long and q grows under 0.95^j
+    w, s = (W, 4) if N <= 128 else (W095, 12)
+    w = power_weights(w, alpha)
+    fast = construct_standard_cbc(N, s, alpha, w, mode="fast")
+    naive = construct_standard_cbc(N, s, alpha, w, mode="naive")
     assert fast.z == naive.z
+
+
+@pytest.mark.parametrize(
+    "N, alpha", [(1019, None), (8147, None), (8147, 3.0), (4096, 2.0), (4096, 3.0)]
+)
+def test_plan_scores_within_bound_of_gather(N, alpha):
+    """Every candidate's plan score lies within the returned bound of the
+    exact gather sum, along a greedy run under 0.95^j weights."""
+    if alpha is None:
+        tab, v = _omega_padded(N), construct_korobov_cbc(N, 60, W095)
+    else:
+        tab = fourier_decay_table(alpha, N)
+        v = construct_standard_cbc(N, 60, alpha, W095)
+    plan = scoring_plan(N, tab)
+    q = 1.0 + W095.gamma(1) * tab[1:]
+    for d in range(2, 61):
+        if d in (2, 30, 60):
+            scores, bound = plan.scores(q)
+            exact = np.array(
+                [_kernels.gather_score(q, tab, z, 1) for z in plan.z.tolist()]
+            )
+            assert np.max(np.abs(scores - exact)) <= bound
+        _kernels.accumulate_product(q, tab, v.z[d - 1], W095.gamma(d), 1)
+    if alpha is None:
+        assert np.max(np.abs(q)) > 1e20
 
 
 def test_korobov_greedy_is_componentwise_optimal():
