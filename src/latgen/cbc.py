@@ -14,13 +14,15 @@ costs one gather of q, one rfft/irfft pair, O(N log N), and the exact rescore.
 - Prime N: in the order of powers of a primitive root g the scores are a
   cyclic correlation. Since g^((N-1)/2) = -1 and the kernel table is exactly
   symmetric, the reordered kernel has period H = (N-1)/2, so q is folded over
-  +- to length H and correlated with two periods of the kernel as one
-  zero-padded product of power-of-two length M >= N - 2, whatever the
-  factors of N - 1.
+  +- to length H. Stored in reverse, the fold is convolved with two periods
+  of the kernel as one zero-padded product of power-of-two length
+  M >= N - 1, whatever the factors of N - 1 (`spectral.convolver`; a
+  power-of-two H takes one length-H transform instead).
 - N = 2^n: writing k = 2^c k' with k' odd splits the score into levels. The
   odd residues mod M = N/2^c are the cosets +-5^i, so each level is a cyclic
-  correlation of length M/4 of the +- folded q. The level spectra are summed
-  and inverted once, at length N/4.
+  correlation of length M/4 of the +- folded q, again a convolution of the
+  reversed fold. The level spectra are summed and inverted once, at length
+  N/4.
 
 The scores of z and N - z are bit-equal (the tables are exactly symmetric), so
 only z <= N/2 are scored. Each score vector comes with a bound on the FFT's
@@ -41,6 +43,7 @@ import numpy as np
 from . import _kernels
 from .kernel import LN4, fourier_decay_table, kernel_table
 from .numtheory import GeneratingVector, is_prime, primitive_root
+from .spectral import convolver
 from .weights import ProductWeights, weight_of
 
 __all__ = [
@@ -92,12 +95,12 @@ def _powers(g: int, L: int, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Level:
-    """One cyclic correlation: q[i1] + q[i2] against the spectrum K."""
+    """One cyclic convolution: q[i1] + q[i2] against the spectrum K."""
 
-    i1: np.ndarray
+    i1: np.ndarray  # the fold in reverse turns the correlation into a convolution
     i2: np.ndarray
     length: int  # transform length of q[i1] + q[i2]
-    K: np.ndarray  # rfft of the reordered kernel, times the tiling factor
+    K: np.ndarray  # the reordered kernel's convolver spectrum, times the tiling factor
     step: int  # K lands on every step-th bin of the summed spectrum
     kernel_norm: float
 
@@ -113,6 +116,7 @@ class ScoringPlan:
     z: np.ndarray
     levels: Tuple[_Level, ...]
     size: int  # length of the one inverse transform
+    offset: int  # the scores start here in the inverse transform
     const_idx: np.ndarray  # q slots whose kernel value is the same for every z
     const_tab: np.ndarray
 
@@ -121,14 +125,13 @@ class ScoringPlan:
         weight = 0.0
         for lv in self.levels:
             a = q[lv.i1] + q[lv.i2]
-            # correlation sum_i a[i] b[i + m] has spectrum conj(A) * B
-            term = np.conj(np.fft.rfft(a, lv.length)) * lv.K
+            term = np.fft.rfft(a, lv.length) * lv.K
             if spec is None:
                 spec = term
             else:
                 spec[:: lv.step] += term
             weight += float(np.linalg.norm(a)) * lv.kernel_norm
-        sc = np.fft.irfft(spec, self.size)[: self.z.shape[0]]
+        sc = np.fft.irfft(spec, self.size)[self.offset : self.offset + self.z.shape[0]]
         sc += float(q[self.const_idx] @ self.const_tab)
         # Per transform, each entry of irfft(rfft(a) * rfft(b)) is within
         # log2(size) * eta * ||a||_2 * ||b||_2 of exact (Cauchy-Schwarz on the
@@ -156,24 +159,25 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
             M = N >> c
             L = M // 4
             p = pw[:L] % M
-            kt = tab[p << c]
-            levels.append(_Level(i1=(p << c) - 1, i2=((M - p) << c) - 1, length=L,
-                                 K=(Q // L) * np.fft.rfft(kt), step=Q // L,
-                                 kernel_norm=float(np.linalg.norm(kt))))
+            conv = convolver(tab[p << c])  # L = 2^(n-2-c): the direct route
+            r = p[(-np.arange(L)) % L]
+            levels.append(_Level(i1=(r << c) - 1, i2=((M - r) << c) - 1, length=conv.size,
+                                 K=(Q // L) * conv.spectrum, step=Q // L,
+                                 kernel_norm=conv.norm))
         # k = N/2 and k = N/4, 3N/4 meet tab[N/2] and tab[N/4] for every odd z
-        return ScoringPlan(z=np.minimum(pw, N - pw), levels=tuple(levels), size=Q,
+        return ScoringPlan(z=np.minimum(pw, N - pw), levels=tuple(levels), size=Q, offset=0,
                            const_idx=np.array([N // 2 - 1, N // 4 - 1, 3 * N // 4 - 1]),
                            const_tab=tab[[N // 2, N // 4, N // 4]])
     if not is_prime(N) or N < 3:
         raise ValueError("the fast mode needs a prime N >= 3 or N = 2^n >= 8")
     H = (N - 1) // 2
     pw = _powers(primitive_root(N), H, N)
-    b = tab[pw]
-    b2 = np.concatenate([b, b[:-1]])  # b[(i + m) mod H] for i, m < H
-    M = 1 << (b2.shape[0] - 1).bit_length()
-    level = _Level(i1=pw - 1, i2=N - pw - 1, length=M, K=np.fft.rfft(b2, M), step=1,
-                   kernel_norm=float(np.linalg.norm(b2)))
-    return ScoringPlan(z=np.minimum(pw, N - pw), levels=(level,), size=M,
+    conv = convolver(tab[pw])
+    r = pw[(-np.arange(H)) % H]
+    level = _Level(i1=r - 1, i2=N - r - 1, length=conv.size, K=conv.spectrum, step=1,
+                   kernel_norm=conv.norm)
+    return ScoringPlan(z=np.minimum(pw, N - pw), levels=(level,), size=conv.size,
+                       offset=conv.offset,
                        const_idx=np.empty(0, dtype=np.int64), const_tab=np.empty(0))
 
 

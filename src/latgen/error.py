@@ -16,6 +16,7 @@ import numpy as np
 
 from .kernel import fourier_decay_table, zeta
 from .numtheory import GeneratingVector
+from .spectral import cosine_dft
 from .weights import ProductWeights, WeightSpec, weight_of
 
 __all__ = [
@@ -184,9 +185,8 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
     res = np.arange(1, N, dtype=float)
     c = np.zeros(N)
     c[1:] = res ** (-alpha) + (N - res) ** (-alpha)
-    tab = np.ascontiguousarray(np.fft.fft(c).real)
+    tab = cosine_dft(c)
     tab[0] = 2.0 * math.fsum(mm ** (-alpha) for mm in range(1, N))
-    tab[1:] = 0.5 * (tab[1:] + tab[1:][::-1])
     return tab
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
+from .spectral import cosine_dft
+
 __all__ = [
     "LN4",
     "omega",
@@ -186,8 +188,6 @@ def fourier_decay_table(alpha: float, N: int, tol: float = 1e-12) -> np.ndarray:
     S[0] = zeta(alpha)
     S[1:] = _hurwitz_zeta(alpha, res[1:] / N)
     S *= float(N) ** (-alpha)
-    table = 2.0 * np.fft.fft(S).real
+    table = 2.0 * cosine_dft(S)
     table[0] = 2.0 * zeta(alpha)
-    # cosine symmetry: make table[a] == table[N-a] exact as stored
-    table[1:] = 0.5 * (table[1:] + table[1:][::-1])
     return table
