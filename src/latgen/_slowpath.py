@@ -87,22 +87,15 @@ def dbd_construct(p, ktab, n, gammas, rtol):
     return z
 
 
-def _residues(k0, count, z, N):
-    """(k0 + i) * z mod N for i < count; a power-of-two N takes a mask, which
-    numpy evaluates several times faster than the division."""
-    idx = np.arange(k0, k0 + count, dtype=np.int64) * z
-    if N & (N - 1):
-        idx %= N
-    else:
-        idx &= N - 1
-    return idx
-
-
 def accumulate_product(acc, tab, z, gamma, k0=0):
     """acc[i] *= 1 + gamma * tab[(k0 + i) * z mod N], N = len(tab), in place."""
-    acc *= 1.0 + gamma * tab[_residues(k0, acc.shape[0], z, tab.shape[0])]
+    N = tab.shape[0]
+    idx = (np.arange(k0, k0 + acc.shape[0], dtype=np.int64) * z) % N
+    acc *= 1.0 + gamma * tab[idx]
 
 
 def gather_score(q, tab, z, k0=1):
     """sum_i q[i] * tab[(k0 + i) * z mod N] -- one exact candidate score."""
-    return float(q @ tab[_residues(k0, q.shape[0], z, tab.shape[0])])
+    N = tab.shape[0]
+    idx = (np.arange(k0, k0 + q.shape[0], dtype=np.int64) * z) % N
+    return float(q @ tab[idx])

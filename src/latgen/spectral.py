@@ -4,14 +4,14 @@
 residue (`kernel.fourier_decay_table`, `error.vartheta_table`). `convolver`
 caches the spectrum of a fixed sequence so that each cyclic convolution with
 it costs one rfft/irfft pair; the fast CBC scoring plan builds its kernel
-spectra this way.
+spectra this way and applies them itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Convolver", "convolver", "cosine_dft", "cyclic_convolution"]
+__all__ = ["Convolver", "convolver", "cosine_dft"]
 
 
 def cosine_dft(c) -> np.ndarray:
@@ -30,44 +30,30 @@ def cosine_dft(c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Convolver:
-    """Cyclic convolution c_k = sum_j a_j b_{(k-j) mod n} with a fixed real b.
+    """The cached spectrum for cyclic convolution with a fixed real b.
 
-    The direct route multiplies length-n spectra. The padded route takes the
-    linear convolution of a with two periods of b, zero-padded to a power of
-    two size >= 2n, and reads c at n..2n-1, so numpy.fft never meets a length
-    with large prime factors.
+    c_k = sum_j a_j b_{(k-j) mod n} is
+    irfft(rfft(a, size) * spectrum, size)[offset : offset + n]. A power-of-two
+    n multiplies length-n spectra. Any other n takes the linear convolution of
+    a with two periods of b, zero-padded to a power of two size >= 2n, and
+    reads c at n..2n-1, so numpy.fft never meets a length with large prime
+    factors.
     """
 
-    n: int
     size: int  # transform length
     offset: int  # c starts here in the inverse transform
     spectrum: np.ndarray  # rfft of what was transformed, at length size
     norm: float  # 2-norm of what was transformed
 
-    def __call__(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.n,):
-            raise ValueError("inputs must be 1-d arrays of equal length")
-        c = np.fft.irfft(np.fft.rfft(a, self.size) * self.spectrum, self.size)
-        return c[self.offset : self.offset + self.n]
 
-
-def convolver(b, padded=None) -> Convolver:
-    """The convolver of b; padded=None takes the direct route exactly when
-    len(b) is a power of two."""
+def convolver(b) -> Convolver:
+    """The cached spectrum of b, on the route its length takes."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.shape[0] < 1:
         raise ValueError("need a nonempty 1-d sequence")
     n = b.shape[0]
-    if padded is None:
-        padded = n & (n - 1) != 0
-    if not padded:
-        return Convolver(n, n, 0, np.fft.rfft(b), float(np.linalg.norm(b)))
+    if n & (n - 1) == 0:
+        return Convolver(n, 0, np.fft.rfft(b), float(np.linalg.norm(b)))
     bb = np.concatenate([b, b])
     size = 1 << (2 * n - 1).bit_length()
-    return Convolver(n, size, n, np.fft.rfft(bb, size), float(np.linalg.norm(bb)))
-
-
-def cyclic_convolution(a, b) -> np.ndarray:
-    """c_k = sum_j a_j b_{(k-j) mod n} for real 1-d arrays of equal length."""
-    return convolver(b)(a)
+    return Convolver(size, n, np.fft.rfft(bb, size), float(np.linalg.norm(bb)))

@@ -1,8 +1,10 @@
+"""The numpy.fft routines in latgen.spectral against naive O(n^2) sums."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latgen.fft import NAIVE_CONV_THRESHOLD, cyclic_convolution, fft
+from latgen.spectral import convolver, cosine_dft
 
 
 def _dft_naive(x, sign):
@@ -16,17 +18,21 @@ def _dft_naive(x, sign):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16, 31, 61, 64, 100, 127])
 def test_fft_matches_naive_dft(n):
     rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert fft(x, "forward") == pytest.approx(_dft_naive(x, -1), abs=1e-9)
-    assert fft(x, "inverse") == pytest.approx(_dft_naive(x, +1) / n, abs=1e-9)
+    x = rng.standard_normal(n)
+    tab = cosine_dft(x)
+    assert tab == pytest.approx(_dft_naive(x, -1).real, abs=1e-9)
+    assert tab == pytest.approx(_dft_naive(x, +1).real, abs=1e-9)
+    assert np.array_equal(tab[1:], tab[:0:-1])  # exact cosine symmetry
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=50, deadline=None)
 def test_fft_round_trip(n, seed):
+    # on a symmetric sequence the cosine transform is its own inverse up to 1/n
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    back = fft(fft(x, "forward"), "inverse")
+    x = rng.standard_normal(n)
+    x[1:] += x[1:][::-1]
+    back = cosine_dft(cosine_dft(x)) / n
     assert back == pytest.approx(x, abs=1e-9)
 
 
@@ -34,17 +40,19 @@ def test_fft_linearity_and_impulse():
     n = 48
     x = np.zeros(n)
     x[0] = 1.0
-    assert fft(x) == pytest.approx(np.ones(n), abs=1e-12)
+    assert cosine_dft(x) == pytest.approx(np.ones(n), abs=1e-12)
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(n), rng.standard_normal(n)
-    assert fft(a + 2.0 * b) == pytest.approx(fft(a) + 2.0 * fft(b), abs=1e-10)
+    assert cosine_dft(a + 2.0 * b) == pytest.approx(
+        cosine_dft(a) + 2.0 * cosine_dft(b), abs=1e-10
+    )
 
 
 def test_fft_rejects_bad_input():
     with pytest.raises(ValueError):
-        fft([1.0], "sideways")
+        cosine_dft(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        fft([])
+        cosine_dft([])
 
 
 def _conv_reference(a, b):
@@ -54,36 +62,52 @@ def _conv_reference(a, b):
     )
 
 
+def _convolve(a, b):
+    """The cyclic convolution a * b as the fast CBC computes it from the
+    convolver of b."""
+    cv = convolver(b)
+    c = np.fft.irfft(np.fft.rfft(a, cv.size) * cv.spectrum, cv.size)
+    return c[cv.offset : cv.offset + len(b)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 63, 64, 65, 96, 127, 128])
 def test_cyclic_convolution_matches_reference(n):
     rng = np.random.default_rng(n)
     a = rng.standard_normal(n)
     b = rng.standard_normal(n)
-    got = cyclic_convolution(a, b)
-    assert got == pytest.approx(_conv_reference(a, b), abs=1e-9)
+    assert _convolve(a, b) == pytest.approx(_conv_reference(a, b), abs=1e-9)
 
 
 def test_cyclic_convolution_both_routes_agree():
-    # lengths straddling the naive/transform switch must agree with each other
+    # a power-of-two length takes the direct route, any other the padded one
     rng = np.random.default_rng(7)
-    n = NAIVE_CONV_THRESHOLD + 1
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    fast = cyclic_convolution(a, b)
-    naive = _conv_reference(a, b)
-    assert fast == pytest.approx(naive, abs=1e-9)
+    for n, direct in ((1, True), (64, True), (65, False), (3, False)):
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(n)
+        cv = convolver(b)
+        if direct:
+            assert (cv.size, cv.offset) == (n, 0)
+            assert cv.norm == pytest.approx(np.linalg.norm(b))
+        else:
+            assert cv.size >= 2 * n and cv.size & (cv.size - 1) == 0
+            assert cv.offset == n
+            assert cv.norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(b))
+        assert _convolve(a, b) == pytest.approx(_conv_reference(a, b), abs=1e-9)
 
 
 def test_cyclic_convolution_commutes_and_shifts():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(40)
     b = rng.standard_normal(40)
-    assert cyclic_convolution(a, b) == pytest.approx(cyclic_convolution(b, a))
+    assert _convolve(a, b) == pytest.approx(_convolve(b, a))
     e1 = np.zeros(40)
     e1[1] = 1.0
-    assert cyclic_convolution(a, e1) == pytest.approx(np.roll(a, 1))
+    assert _convolve(a, e1) == pytest.approx(np.roll(a, 1))
 
 
 def test_cyclic_convolution_rejects_mismatch():
+    # the convolver takes one nonempty 1-d sequence
     with pytest.raises(ValueError):
-        cyclic_convolution([1.0, 2.0], [1.0])
+        convolver([])
+    with pytest.raises(ValueError):
+        convolver(np.ones((2, 2)))
