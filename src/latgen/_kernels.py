@@ -1,4 +1,4 @@
-"""Backend selection for the CBC-DBD inner loops.
+"""Backend selection for the CBC-DBD construction, dbd_construct.
 
 The C kernel in _dbd.c is compiled with the system C compiler (the first of
 cc, gcc, clang on PATH) the first time this module is imported, and loaded
@@ -12,8 +12,8 @@ The C kernel holds dbd_construct alone. The numpy implementation in
 latgen._slowpath is the fallback: it is used when LATGEN_PURE=1 is set, the
 cache cannot be written, no compiler is found, or the compile fails. BACKEND
 is "c" or "numpy"; BACKEND_REASON says which library was loaded or why the
-fallback was chosen. dbd_score_pair, dbd_update, accumulate_product and
-gather_score are numpy in both cases.
+fallback was chosen. Nothing else is chosen here: the per-level walk that
+cbc_dbd.h_bar and update_p use comes straight from latgen._slowpath.
 """
 
 import ctypes
@@ -116,11 +116,6 @@ try:
 except _Unavailable as exc:
     _lib = None
     BACKEND, BACKEND_REASON = "numpy", str(exc)
-
-dbd_score_pair = _slowpath.dbd_score_pair
-dbd_update = _slowpath.dbd_update
-accumulate_product = _slowpath.accumulate_product
-gather_score = _slowpath.gather_score
 
 if _lib is None:
     dbd_construct = _slowpath.dbd_construct

@@ -1,21 +1,21 @@
-"""Pure-numpy implementations of the hot inner loops.
+"""Pure-numpy CBC-DBD loops.
 
 dbd_construct is the numpy twin of the C kernel in _dbd.c, and
 latgen._kernels picks one of the two at import time. dbd_score_pair and
-dbd_update are the per-level walk that h_bar and update_p use on both
-backends; they are the reference the per-component fold is tested against.
+dbd_update are the per-level walk that cbc_dbd.h_bar and update_p use on
+both backends; they are the reference the per-component fold is tested
+against. Every kernel table here is kernel.kernel_table(2^n), indexed by
+residue.
 """
 
 import numpy as np
-
-BACKEND = "numpy"
 
 
 def dbd_score_pair(p, ktab, n, v, x0, gamma):
     """Digit-wise quality of the two candidate bits at level v.
 
     p[k * 2^(n-t) - 1] holds the running product q(r-1, t, k); ktab is the
-    padded log-sin table of modulus N = 2^n. Returns the pair of scores for
+    log-sin table of modulus N = 2^n. Returns the pair of scores for
     x0 and x0 + 2^(v-1), fused so the q gather is shared.
     """
     x1 = x0 + (1 << (v - 1))
@@ -85,17 +85,3 @@ def dbd_construct(p, ktab, n, gammas, rtol):
             dbd_update(p, ktab, n, v, zr, gamma)
         z.append(zr)
     return z
-
-
-def accumulate_product(acc, tab, z, gamma, k0=0):
-    """acc[i] *= 1 + gamma * tab[(k0 + i) * z mod N], N = len(tab), in place."""
-    N = tab.shape[0]
-    idx = (np.arange(k0, k0 + acc.shape[0], dtype=np.int64) * z) % N
-    acc *= 1.0 + gamma * tab[idx]
-
-
-def gather_score(q, tab, z, k0=1):
-    """sum_i q[i] * tab[(k0 + i) * z mod N] -- one exact candidate score."""
-    N = tab.shape[0]
-    idx = (np.arange(k0, k0 + q.shape[0], dtype=np.int64) * z) % N
-    return float(q @ tab[idx])

@@ -35,16 +35,15 @@ same vectors as the naive O(N^2) mode.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Tuple
 
 import numpy as np
 
-from . import _kernels
+from .error import lattice_kernel_sum
 from .kernel import LN4, fourier_decay_table, kernel_table
-from .numtheory import GeneratingVector, is_prime, primitive_root
+from .numtheory import MODULUS_LIMIT, GeneratingVector, is_prime, primitive_root
 from .spectral import convolver
-from .weights import ProductWeights, weight_of
+from .weights import ProductWeights
 
 __all__ = [
     "V_quality",
@@ -55,31 +54,31 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
-def _omega_padded(N: int) -> np.ndarray:
-    tab = kernel_table(N).padded()
+def _omega_table(N: int) -> np.ndarray:
+    """omega(a / N) = ln(1/sin^2(pi a / N)) - ln 4 by residue, tab[0] = 0."""
+    tab = kernel_table(N)
     tab[1:] -= LN4
     return tab
 
 
 def V_quality(v: GeneratingVector, w) -> float:
-    """V = sum over nonempty u of gamma_u sum_{k=1}^{N-1} prod_{j in u} omega({k z_j / N})."""
-    N = v.N
-    tab = _omega_padded(N)
-    if isinstance(w, ProductWeights):
-        acc = np.ones(N - 1)
-        for j, zj in enumerate(v.z, start=1):
-            _kernels.accumulate_product(acc, tab, zj, w.gamma(j), 1)
-        return math.fsum(acc) - (N - 1)
-    k = np.arange(1, N, dtype=np.int64)
-    cols = {j: tab[(k * zj) % N] for j, zj in enumerate(v.z, start=1)}
-    total = []
-    for size in range(1, v.s + 1):
-        for u in combinations(range(1, v.s + 1), size):
-            prod = np.ones(N - 1)
-            for j in u:
-                prod = prod * cols[j]
-            total.append(weight_of(frozenset(u), w) * float(prod.sum()))
-    return math.fsum(total)
+    """V = sum over nonempty u of gamma_u sum_{k=1}^{N-1} prod_{j in u} omega({k z_j / N}).
+
+    The lattice sum's k = 0 term is zero, since the table stores 0 at a = 0.
+    """
+    return lattice_kernel_sum(v, _omega_table(v.N), w)
+
+
+def _accumulate_product(q: np.ndarray, tab: np.ndarray, z: int, gamma: float):
+    """q[k-1] *= 1 + gamma * tab[k z mod N] for k = 1..N-1, N = len(tab), in place."""
+    N = tab.shape[0]
+    q *= 1.0 + gamma * tab[(np.arange(1, N, dtype=np.int64) * z) % N]
+
+
+def _gather_score(q: np.ndarray, tab: np.ndarray, z: int) -> float:
+    """sum_{k=1}^{N-1} q[k-1] * tab[k z mod N] -- one exact candidate score."""
+    N = tab.shape[0]
+    return float(q @ tab[(np.arange(1, N, dtype=np.int64) * z) % N])
 
 
 def _powers(g: int, L: int, N: int) -> np.ndarray:
@@ -109,7 +108,7 @@ class _Level:
 class ScoringPlan:
     """Candidates z <= N/2 and what scores all of them at once.
 
-    scores(q)[i] approximates gather_score(q, tab, z[i], 1); the returned
+    scores(q)[i] approximates _gather_score(q, tab, z[i]); the returned
     bound caps the difference.
     """
 
@@ -143,12 +142,12 @@ class ScoringPlan:
 
 
 def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
-    """The scoring plan for prime N >= 3 or N = 2^n >= 8; tab is the padded,
-    exactly symmetric kernel table (tab[a] == tab[N - a])."""
+    """The scoring plan for prime N >= 3 or N = 2^n >= 8; tab is the
+    residue-indexed, exactly symmetric kernel table (tab[a] == tab[N - a])."""
     tab = np.asarray(tab, dtype=float)
     if tab.shape != (N,) or not np.array_equal(tab[1:], tab[:0:-1]):
         raise ValueError("tab must have length N and satisfy tab[a] == tab[N - a]")
-    if N >= 1 << 31:
+    if N >= MODULUS_LIMIT:
         raise ValueError("the fast mode needs N < 2^31")
     if N >= 8 and N & (N - 1) == 0:
         n = N.bit_length() - 1
@@ -189,7 +188,7 @@ def _refined_argmin(plan: ScoringPlan, q: np.ndarray, tab: np.ndarray) -> int:
     best_z = None
     best_val = math.inf
     for zz in near.tolist():
-        val = _kernels.gather_score(q, tab, zz, 1)
+        val = _gather_score(q, tab, zz)
         if val < best_val:
             best_val = val
             best_z = zz
@@ -197,7 +196,7 @@ def _refined_argmin(plan: ScoringPlan, q: np.ndarray, tab: np.ndarray) -> int:
 
 
 def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray, mode: str):
-    """Shared greedy loop; tab is the padded per-residue kernel table."""
+    """Shared greedy loop; tab is the residue-indexed kernel table."""
     if mode not in ("fast", "naive"):
         raise ValueError("mode must be 'fast' or 'naive'")
     power_of_two = N & (N - 1) == 0
@@ -211,10 +210,10 @@ def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray, mode
         if plan is not None:
             zd = _refined_argmin(plan, q, tab)
         else:
-            vals = [_kernels.gather_score(q, tab, int(zz), 1) for zz in z_candidates]
+            vals = [_gather_score(q, tab, int(zz)) for zz in z_candidates]
             zd = int(z_candidates[int(np.argmin(vals))])
         z.append(zd)
-        _kernels.accumulate_product(q, tab, zd, gammas[d - 1], 1)
+        _accumulate_product(q, tab, zd, gammas[d - 1])
     return GeneratingVector(N, tuple(z))
 
 
@@ -228,7 +227,7 @@ def construct_korobov_cbc(
         raise ValueError("need s >= 1")
     if w.s < s:
         raise ValueError("weight sequence shorter than requested dimension")
-    tab = _omega_padded(N)
+    tab = _omega_table(N)
     return _cbc_greedy(N, s, w.gammas[:s], tab, mode)
 
 

@@ -19,9 +19,11 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .kernel import KernelTable, kernel_table
+from ._slowpath import dbd_score_pair, dbd_update
+from .error import lattice_kernel_sum
+from .kernel import kernel_table
 from .numtheory import GeneratingVector
-from .weights import GeneralWeights, ProductWeights, weight_of
+from .weights import ProductWeights, weight_of
 
 __all__ = [
     "DigitState",
@@ -50,40 +52,32 @@ TIE_RTOL = 1e-12
 
 @dataclass
 class DigitState:
-    """Construction state: p[k * 2^(n-t) - 1] = q(r, t, k) for t = 1..n, odd k < 2^t."""
+    """Construction state: p[k * 2^(n-t) - 1] = q(r, t, k) for t = 1..n, odd k < 2^t;
+    table is kernel_table(2^n)."""
 
     n: int
-    table: KernelTable
+    table: np.ndarray
     p: np.ndarray
     r: int
     gammas: Tuple[float, ...]
-    _padded: np.ndarray = None
 
     @property
     def N(self) -> int:
         return 1 << self.n
-
-    def padded_table(self) -> np.ndarray:
-        if self._padded is None:
-            self._padded = self.table.padded()
-        return self._padded
 
 
 def new_digit_state(n: int, w: ProductWeights) -> DigitState:
     """State after the first component z_1 = 1 has been incorporated.
 
     The slot for (t, k) holds 1 + gamma_1 * ln(1/sin^2(pi k / 2^t)), which is
-    exactly the padded kernel table entry at index k * 2^(n-t): the t = 1 slot
+    exactly the kernel table entry at residue k * 2^(n-t): the t = 1 slot
     lands on sin^2(pi/2) = 1 and so equals 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     table = kernel_table(1 << n)
-    padded = table.padded()
-    p = 1.0 + w.gamma(1) * padded[1:]
-    state = DigitState(n=n, table=table, p=p, r=1, gammas=w.gammas)
-    state._padded = padded
-    return state
+    return DigitState(n=n, table=table, p=1.0 + w.gamma(1) * table[1:], r=1,
+                      gammas=w.gammas)
 
 
 def C_constant(n: int, v: int) -> float:
@@ -107,9 +101,7 @@ def h_bar(state: DigitState, r: int, v: int, x: int, gamma_r: float) -> float:
     _check_bit_args(state.n, v, x)
     half = 1 << (v - 1)
     base = x if x < half else x - half
-    s0, s1 = _kernels.dbd_score_pair(
-        state.p, state.padded_table(), state.n, v, base, gamma_r
-    )
+    s0, s1 = dbd_score_pair(state.p, state.table, state.n, v, base, gamma_r)
     return s0 if x < half else s1
 
 
@@ -117,7 +109,7 @@ def update_p(state: DigitState, r: int, v: int, z_rv: int) -> DigitState:
     """Multiply the level-v slots of p by (1 + gamma_r ln(1/sin^2(pi k z_rv / 2^v)))."""
     _check_bit_args(state.n, v, z_rv)
     gamma_r = state.gammas[r - 1]
-    _kernels.dbd_update(state.p, state.padded_table(), state.n, v, z_rv, gamma_r)
+    dbd_update(state.p, state.table, state.n, v, z_rv, gamma_r)
     return state
 
 
@@ -137,9 +129,7 @@ def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
     if s >= 2 and n >= 2:
         state = new_digit_state(n, w)
         gammas = [w.gamma(r) for r in range(2, s + 1)]
-        z[1:] = _kernels.dbd_construct(
-            state.p, state.padded_table(), n, gammas, TIE_RTOL
-        )
+        z[1:] = _kernels.dbd_construct(state.p, state.table, n, gammas, TIE_RTOL)
     return GeneratingVector(1 << n, tuple(z))
 
 
@@ -182,15 +172,13 @@ def h_naive(r: int, n: int, v: int, x: int, z_prev, w) -> float:
     return math.fsum(total)
 
 
-def H_quantity(v: GeneratingVector, w: ProductWeights) -> float:
-    """H = -(N-1) + sum_{k=1}^{N-1} prod_j (1 + gamma_j ln(1/sin^2(pi k z_j / N)))."""
+def H_quantity(v: GeneratingVector, w) -> float:
+    """H = sum over nonempty u of gamma_u sum_{k=1}^{N-1} prod_{j in u} L({k z_j / N})
+    with L(x) = ln(1/sin^2(pi x)); for product weights this is
+    -(N-1) + sum_{k=1}^{N-1} prod_j (1 + gamma_j L({k z_j / N}))."""
     N = v.N
     if N & (N - 1) != 0:
         raise ValueError("H is defined for N = 2^n")
     if any(zj % 2 == 0 for zj in v.z):
         raise ValueError("all components must be odd")
-    tab = kernel_table(N).padded()
-    acc = np.ones(N - 1)
-    for j, zj in enumerate(v.z, start=1):
-        _kernels.accumulate_product(acc, tab, zj, w.gamma(j), 1)
-    return math.fsum(acc) - (N - 1)
+    return lattice_kernel_sum(v, kernel_table(N), w)

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 I/O failure, 2 usage/validation error.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .error import (
     bound_thm_cbcdbd,
     wce_product,
 )
-from .numtheory import GeneratingVector, is_prime, prev_prime
+from .numtheory import MODULUS_LIMIT, GeneratingVector, is_prime, lattice_points, prev_prime
 from .weights import ProductWeights, WeightSpec, power_weights
 
 __all__ = ["main", "read_vector", "write_vector", "parse_weight_spec"]
@@ -31,10 +32,6 @@ __all__ = ["main", "read_vector", "write_vector", "parse_weight_spec"]
 VECTOR_MAGIC = "# latgen v1"
 CSV_HEADER = ["N", "s", "alpha", "weights_id", "algorithm", "wce",
               "construct_seconds", "eval_seconds"]
-
-
-class UsageError(ValueError):
-    pass
 
 
 def fmt(x: float) -> str:
@@ -58,25 +55,25 @@ def read_vector(path: str) -> GeneratingVector:
         lines = [ln.strip() for ln in fh if ln.strip()]
     try:
         if not lines or lines[0] != VECTOR_MAGIC:
-            raise UsageError("not a latgen v1 vector file")
+            raise ValueError("not a latgen v1 vector file")
         if not lines[1].startswith("N=") or not lines[2].startswith("s="):
-            raise UsageError("missing N=/s= header lines")
+            raise ValueError("missing N=/s= header lines")
         N = int(lines[1][2:])
         s = int(lines[2][2:])
         body = lines[3:]
         if len(body) != s:
-            raise UsageError("expected %d component lines, found %d" % (s, len(body)))
+            raise ValueError("expected %d component lines, found %d" % (s, len(body)))
         z = {}
         for ln in body:
             j_str, z_str = ln.split()
             j = int(j_str)
             if not 1 <= j <= s or j in z:
-                raise UsageError("component index %d is out of range 1..%d or repeated"
+                raise ValueError("component index %d is out of range 1..%d or repeated"
                                  % (j, s))
             z[j] = int(z_str)
         return GeneratingVector(N, tuple(z[j] for j in range(1, s + 1)))
     except (IndexError, ValueError) as exc:
-        raise UsageError("malformed vector file %s: %s" % (path, exc))
+        raise ValueError("malformed vector file %s: %s" % (path, exc))
 
 
 # --------------------------------------------------------------- weight specs
@@ -105,40 +102,47 @@ def parse_weight_spec(text: str) -> WeightSpec:
                 u = frozenset(int(c) for c in subset_str.split(","))
                 table.append((u, float(gamma_str)))
         return WeightSpec(kind="general-table", table=tuple(table))
-    raise UsageError("unrecognized weight spec %r" % (text,))
+    raise ValueError("unrecognized weight spec %r" % (text,))
 
 
 # ------------------------------------------------------------------ construct
 
 def _resolve_modulus(args) -> int:
     if (args.n is None) == (args.N is None):
-        raise UsageError("give exactly one of --n and --N")
+        raise ValueError("give exactly one of --n and --N")
     return 1 << args.n if args.n is not None else args.N
 
 
+def _check_modulus(N: int):
+    """Refuse a modulus too large for any table before one is allocated."""
+    if N >= MODULUS_LIMIT:
+        raise ValueError("N = %d is too large: need N < 2^31" % N)
+
+
 def _construct(algo: str, N: int, s: int, weights: WeightSpec, alpha):
+    _check_modulus(N)
     if algo == "cbc-dbd":
         if N & (N - 1) != 0 or N < 2:
-            raise UsageError("cbc-dbd requires N = 2^n")
+            raise ValueError("cbc-dbd requires N = 2^n")
         w = weights.resolve(s)
         if not isinstance(w, ProductWeights):
-            raise UsageError("cbc-dbd requires product weights")
+            raise ValueError("cbc-dbd requires product weights")
         return construct_cbc_dbd(N.bit_length() - 1, s, w)
     if algo == "korobov-cbc":
         if not is_prime(N) or N < 3:
-            raise UsageError("N must be prime")
+            raise ValueError("N must be prime")
         w = weights.resolve(s)
         if not isinstance(w, ProductWeights):
-            raise UsageError("korobov-cbc requires product weights")
+            raise ValueError("korobov-cbc requires product weights")
         return construct_korobov_cbc(N, s, w)
     if algo == "std-cbc":
         if alpha is None:
-            raise UsageError("std-cbc requires --alpha")
+            raise ValueError("std-cbc requires --alpha")
         w = weights.resolve(s)
         if not isinstance(w, ProductWeights):
-            raise UsageError("std-cbc requires product weights")
+            raise ValueError("std-cbc requires product weights")
         return construct_standard_cbc(N, s, alpha, power_weights(w, alpha))
-    raise UsageError("unknown algorithm %r" % (algo,))
+    raise ValueError("unknown algorithm %r" % (algo,))
 
 
 def cmd_construct(args) -> int:
@@ -152,12 +156,13 @@ def cmd_construct(args) -> int:
 
 def cmd_error(args) -> int:
     v = read_vector(args.vector)
+    _check_modulus(v.N)
     spec = parse_weight_spec(args.weights)
     w = spec.resolve(v.s)
     w_eval = w
     if args.apply_power:
         if not isinstance(w, ProductWeights):
-            raise UsageError("--apply-power requires product weights")
+            raise ValueError("--apply-power requires product weights")
         w_eval = power_weights(w, args.alpha)
     report = {"N": v.N, "s": v.s, "alpha": args.alpha}
     report["wce"] = wce_product(v, args.alpha, w_eval)
@@ -169,7 +174,7 @@ def cmd_error(args) -> int:
         elif is_prime(v.N):
             report["bound_cbc"] = bound_thm_cbc(v.N, w, v.s)
         else:
-            raise UsageError("bounds available only for N prime or N = 2^n")
+            raise ValueError("bounds available only for N prime or N = 2^n")
     if args.format == "json":
         print(json.dumps(report))
     elif args.format == "csv":
@@ -188,14 +193,14 @@ def cmd_error(args) -> int:
 
 def _sweep_moduli(args):
     if (args.n_range is None) == (args.prime_near_pow2 is None):
-        raise UsageError("give exactly one of --n-range and --prime-near-pow2")
+        raise ValueError("give exactly one of --n-range and --prime-near-pow2")
     spec = args.n_range if args.n_range is not None else args.prime_near_pow2
     try:
         lo, hi = (int(p) for p in spec.split(".."))
     except ValueError:
-        raise UsageError("range must look like a..b, got %r" % (spec,))
+        raise ValueError("range must look like a..b, got %r" % (spec,))
     if hi < lo:
-        raise UsageError("empty range %r" % (spec,))
+        raise ValueError("empty range %r" % (spec,))
     if args.n_range is not None:
         return [1 << n for n in range(lo, hi + 1)]
     return [prev_prime(1 << n) for n in range(lo, hi + 1)]
@@ -212,7 +217,7 @@ def sweep_row(algo: str, N: int, s: int, weights_text: str, alpha: float):
     spec = parse_weight_spec(weights_text)
     w = spec.resolve(s)
     if not isinstance(w, ProductWeights):
-        raise UsageError("sweeps require product weights")
+        raise ValueError("sweeps require product weights")
     t0 = time.perf_counter()
     v = _construct(algo, N, s, spec, alpha)
     t1 = time.perf_counter()
@@ -251,7 +256,7 @@ def write_sweep_csv(path: str, rows):
 def cmd_sweep(args) -> int:
     alphas = [float(a) for a in args.alpha_list.split(",") if a.strip()]
     if not alphas:
-        raise UsageError("empty alpha list")
+        raise ValueError("empty alpha list")
     moduli = _sweep_moduli(args)
     jobs = [(args.algo, N, args.s, args.weights, alpha)
             for alpha in alphas for N in moduli]
@@ -266,8 +271,8 @@ def cmd_points(args) -> int:
     limit = v.N if args.limit is None else min(args.limit, v.N)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
-        for k in range(limit):
-            out.write("\t".join(fmt((k * zj % v.N) / v.N) for zj in v.z) + "\n")
+        for x in itertools.islice(lattice_points(v), max(limit, 0)):
+            out.write("\t".join(fmt(xj) for xj in x) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -344,9 +349,6 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

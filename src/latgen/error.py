@@ -1,11 +1,14 @@
 """Worst-case error and related quality quantities.
 
-wce_product evaluates the worst-case error through the character property
-(one product over coordinates per lattice point); wce_bruteforce enumerates
-the dual lattice inside a box and returns a value plus a rigorous tail bound,
-serving as the differential oracle. T and T_alpha are the truncated-kernel
-quality measures; the theorem-bound evaluators give the right-hand sides the
-constructions are guaranteed to satisfy.
+Each quantity is a lattice_kernel_sum, sum over nonempty u of gamma_u
+sum_k prod_{j in u} tab[k z_j mod N] for a residue-indexed table: the
+worst-case error e (through the character property) and the truncated-kernel
+measures T and T_alpha here, H and V in the construction modules. The
+theorem-bound evaluators, the right-hand sides the constructions are
+guaranteed to satisfy, are the same weighted sum over one-point columns; both
+go through weights.subset_product_sum. wce_bruteforce enumerates the dual
+lattice inside a box and returns a value plus a rigorous tail bound, serving
+as the differential oracle.
 """
 
 import math
@@ -17,11 +20,11 @@ import numpy as np
 from .kernel import fourier_decay_table, zeta
 from .numtheory import GeneratingVector
 from .spectral import cosine_dft
-from .weights import ProductWeights, WeightSpec, weight_of
+from .weights import subset_product_sum, weight_of
 
 __all__ = [
-    "ErrorSpec",
     "ErrorInterval",
+    "lattice_kernel_sum",
     "wce_product",
     "wce_bruteforce",
     "vartheta_table",
@@ -35,25 +38,6 @@ __all__ = [
 
 #: wce_bruteforce enumerates (2M-1)^s points.
 BRUTEFORCE_MAX_POINTS = 40_000_000
-
-
-@dataclass(frozen=True)
-class ErrorSpec:
-    """How an error evaluation is parameterized: smoothness alpha, a weight
-    description, whether weights enter raised to the power alpha, and the
-    per-factor kernel method."""
-
-    alpha: float
-    weights: WeightSpec
-    apply_power: bool = False
-    method: str = "closed-form"  # or "truncated"
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise ValueError("requires alpha > 1")
-        if self.method not in ("closed-form", "truncated"):
-            raise ValueError("unknown method %r" % (self.method,))
 
 
 @dataclass(frozen=True)
@@ -76,52 +60,20 @@ class ErrorInterval:
         return self.value + self.tail_bound
 
 
-def _subset_quality(v: GeneratingVector, tab: np.ndarray, w) -> float:
-    """sum over nonempty u of gamma_u * sum_{k=0}^{N-1} prod_{j in u} tab[(k z_j) % N]."""
-    N = v.N
-    k = np.arange(N, dtype=np.int64)
-    cols = {j: tab[(k * zj) % N] for j, zj in enumerate(v.z, start=1)}
-    total = []
-    for size in range(1, v.s + 1):
-        for u in combinations(range(1, v.s + 1), size):
-            prod = np.ones(N)
-            for j in u:
-                prod = prod * cols[j]
-            total.append(weight_of(frozenset(u), w) * float(prod.sum()))
-    return math.fsum(total)
+def lattice_kernel_sum(v: GeneratingVector, tab: np.ndarray, w) -> float:
+    """sum over nonempty u of gamma_u sum_{k=0}^{N-1} prod_{j in u} tab[(k z_j) % N]
+    for a residue-indexed table of length N (see latgen.kernel)."""
+    k = np.arange(v.N, dtype=np.int64)
+    return subset_product_sum(w, (tab[(k * zj) % v.N] for zj in v.z))
 
 
-def wce_product(
-    v: GeneratingVector, alpha: float, w, tol: float = 1e-12
-) -> float:
+def wce_product(v: GeneratingVector, alpha: float, w) -> float:
     """e = -1 + (1/N) sum_{k=0}^{N-1} prod_j (1 + gamma_j * D_alpha({k z_j / N}))
     where D_alpha is the two-sided Fourier decay sum (D_alpha(0) = 2 zeta(alpha)).
     """
     if alpha <= 1.0:
         raise ValueError("requires alpha > 1")
-    if tol <= 0.0:
-        raise ValueError("requires tol > 0")
-    N = v.N
-    tab = fourier_decay_table(alpha, N, tol)
-    if isinstance(w, ProductWeights):
-        return _product_minus_one_mean(v, tab, w)
-    return _subset_quality(v, tab, w) / N
-
-
-def _product_minus_one_mean(v: GeneratingVector, tab: np.ndarray, w) -> float:
-    """(1/N) sum_k [prod_j (1 + gamma_j tab[(k z_j) % N]) - 1].
-
-    The products are accumulated as d = prod - 1 directly (d' = d + x(1+d)),
-    so per-point values far below machine epsilon keep full relative
-    precision instead of being rounded away inside 1 + d.
-    """
-    N = v.N
-    k = np.arange(N, dtype=np.int64)
-    d = None
-    for j, zj in enumerate(v.z, start=1):
-        x = w.gamma(j) * tab[(k * zj) % N]
-        d = x if d is None else d + x * (1.0 + d)
-    return math.fsum(d) / N
+    return lattice_kernel_sum(v, fourier_decay_table(alpha, v.N), w) / v.N
 
 
 def dual_indicator(m, v: GeneratingVector) -> int:
@@ -190,39 +142,26 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
     return tab
 
 
-def _vartheta_quality(v: GeneratingVector, w, alpha: float) -> float:
-    tab = vartheta_table(v.N, alpha)
-    if isinstance(w, ProductWeights):
-        return _product_minus_one_mean(v, tab, w)
-    return _subset_quality(v, tab, w) / v.N
-
-
 def T_quantity(v: GeneratingVector, w) -> float:
     """T(N,z) = sum over nonempty u of (gamma_u / N) sum_{k=0}^{N-1}
     prod_{j in u} theta_N({k z_j / N}), theta_N(0) = 2 H_{N-1}."""
-    return _vartheta_quality(v, w, 1.0)
+    return T_alpha_quantity(v, 1.0, w)
 
 
 def T_alpha_quantity(v: GeneratingVector, alpha: float, w) -> float:
     """As T_quantity with coefficients 1/|m|^alpha, truncated at |m| < N."""
-    return _vartheta_quality(v, w, alpha)
+    return lattice_kernel_sum(v, vartheta_table(v.N, alpha), w) / v.N
 
 
-def _product_bound(w, s: int, a: float) -> float:
-    """sum over nonempty u of gamma_u * a^|u|; product closed form when possible."""
-    if isinstance(w, ProductWeights):
-        return math.prod(1.0 + w.gamma(j) * a for j in range(1, s + 1)) - 1.0
-    total = []
-    for size in range(1, s + 1):
-        for u in combinations(range(1, s + 1), size):
-            total.append(weight_of(frozenset(u), w) * a ** size)
-    return math.fsum(total)
+def _subset_power_sum(w, s: int, a: float) -> float:
+    """sum over nonempty u of gamma_u * a^|u|."""
+    return subset_product_sum(w, [np.array([a])] * s)
 
 
 def bound_thm_existence(N: int, w, s: int = None) -> float:
     """(2/N) * sum over nonempty u of gamma_u (2(1 + ln N))^|u|."""
     s = _dim_of(w, s)
-    return 2.0 / N * _product_bound(w, s, 2.0 * (1.0 + math.log(N)))
+    return 2.0 / N * _subset_power_sum(w, s, 2.0 * (1.0 + math.log(N)))
 
 
 def bound_thm_cbcdbd(N: int, w, s: int = None) -> float:
@@ -232,10 +171,10 @@ def bound_thm_cbcdbd(N: int, w, s: int = None) -> float:
     s = _dim_of(w, s)
     lnN = math.log(N)
     first = math.fsum(
-        [1.0, _product_bound(w, s, math.log(4.0) + 2.0 * (1.0 + lnN))]
+        [1.0, _subset_power_sum(w, s, math.log(4.0) + 2.0 * (1.0 + lnN))]
     )
     second = 2.0 * (1.0 + lnN) * math.fsum(
-        [1.0, _product_bound(w, s, 2.0 * (1.0 + 2.0 * lnN))]
+        [1.0, _subset_power_sum(w, s, 2.0 * (1.0 + 2.0 * lnN))]
     )
     return (first + second) / N
 
@@ -244,8 +183,8 @@ def bound_thm_cbc(N: int, w, s: int = None) -> float:
     """Guaranteed T bound for the whole-component CBC construction, prime N."""
     s = _dim_of(w, s)
     lnN = math.log(N)
-    first = _product_bound(w, s, 4.0 * lnN)
-    second = (1.0 + lnN) * _product_bound(w, s, 2.0 + 4.0 * lnN)
+    first = _subset_power_sum(w, s, 4.0 * lnN)
+    second = (1.0 + lnN) * _subset_power_sum(w, s, 2.0 + 4.0 * lnN)
     return 2.0 / N * (first + second)
 
 

@@ -4,10 +4,14 @@ The log-sine kernels omega(x) = -2 ln(2 sin(pi x)) and ln(1/sin^2(pi x)), the
 truncated Fourier kernel vartheta_N, Bernoulli polynomials, zeta(alpha), and
 the Fourier decay sum sum_{m != 0} e^{2 pi i m x} / |m|^alpha that appears in
 the worst-case error.
+
+The per-modulus tables, kernel_table and fourier_decay_table here and
+error.vartheta_table, share one format: a length-N array indexed by the
+residue a = k z mod N, exactly symmetric (tab[a] == tab[N - a]). The log-sine
+table, which is undefined at a = 0, stores tab[0] = 0 there.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -18,7 +22,6 @@ __all__ = [
     "LN4",
     "omega",
     "log_inv_sin2",
-    "KernelTable",
     "kernel_table",
     "vartheta_truncated",
     "bernoulli_poly",
@@ -47,35 +50,21 @@ def log_inv_sin2(x: float) -> float:
     return -2.0 * math.log(math.sin(math.pi * x))
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """values[k-1] = ln(1/sin^2(pi k / N)) for k = 1..N-1.
+def kernel_table(N: int) -> np.ndarray:
+    """tab[a] = ln(1/sin^2(pi a / N)) for a = 1..N-1, indexed by residue, tab[0] = 0.
 
-    The symmetry values[k-1] == values[N-k-1] holds exactly as stored, which
+    The symmetry tab[a] == tab[N - a] holds exactly as stored, which
     downstream code relies on (gather sums for z and N-z come out bit-equal).
     """
-
-    N: int
-    values: np.ndarray
-
-    def padded(self) -> np.ndarray:
-        """Length-N array indexed by residue a, with the unused a=0 slot = 0."""
-        out = np.empty(self.N)
-        out[0] = 0.0
-        out[1:] = self.values
-        return out
-
-
-def kernel_table(N: int) -> KernelTable:
     if N < 2:
         raise ValueError("need N >= 2")
     k = np.arange(1, N)
     vals = -2.0 * np.log(np.sin(np.pi * k / N))
+    tab = np.zeros(N)
     # Enforce exact symmetry: averaging the mirrored array maps both members
     # of each (k, N-k) pair to the identical double.
-    vals = 0.5 * (vals + vals[::-1])
-    vals.flags.writeable = False
-    return KernelTable(N, vals)
+    tab[1:] = 0.5 * (vals + vals[::-1])
+    return tab
 
 
 def vartheta_truncated(x: float, N: int) -> float:
@@ -167,13 +156,13 @@ def fourier_decay_sum(alpha: float, x: float, tol: float = 1e-12) -> float:
     return _decay_truncated(alpha, x, tol)
 
 
-def fourier_decay_table(alpha: float, N: int, tol: float = 1e-12) -> np.ndarray:
+def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     """The decay sum at every lattice residue: table[a] = fourier_decay_sum(alpha, a/N).
 
     table[0] = 2 zeta(alpha). For even alpha this is the exact closed form; for
     general alpha the series is folded by residue class, each class summed to
     machine precision (Hurwitz zeta), and one length-N DFT produces all values,
-    so the result is far inside any tol reachable by plain truncation.
+    so the result is far more accurate than plain truncation can reach.
     """
     if alpha <= 1.0:
         raise ValueError("requires alpha > 1")

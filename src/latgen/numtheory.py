@@ -1,5 +1,5 @@
-"""Integer utilities: primality, prime neighbors, modular inverses, primitive
-roots, and rank-1 lattice point generation.
+"""Integer utilities: primality, prime neighbors, primitive roots, and rank-1
+lattice point generation.
 
 All arithmetic is done on Python integers (arbitrary precision), so modular
 products like k*z_j never overflow regardless of the modulus size.
@@ -14,11 +14,16 @@ __all__ = [
     "is_prime",
     "prev_prime",
     "next_prime",
-    "mod_inverse",
     "primitive_root",
     "GeneratingVector",
     "lattice_points",
+    "MODULUS_LIMIT",
 ]
+
+#: Moduli N >= MODULUS_LIMIT are refused wherever arrays of length N are
+#: built: the index products k * z < N^2 must stay exact in int64, and one
+#: table of N doubles would already take 16 GiB.
+MODULUS_LIMIT = 1 << 31
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (covers the full 64-bit range and then some).
@@ -68,16 +73,6 @@ def next_prime(n: int) -> int:
     while not is_prime(k):
         k += 1
     return k
-
-
-def mod_inverse(a: int, n: int) -> int:
-    """Multiplicative inverse of a modulo n; requires gcd(a, n) = 1."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    a %= n
-    if gcd(a, n) != 1:
-        raise ValueError("%d is not invertible modulo %d" % (a, n))
-    return pow(a, -1, n)
 
 
 def _factorize(n: int) -> list:

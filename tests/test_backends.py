@@ -11,6 +11,7 @@ import pytest
 
 import latgen
 from latgen import _kernels, _slowpath
+from latgen.cbc import _accumulate_product, _gather_score
 from latgen.kernel import kernel_table
 
 
@@ -24,7 +25,7 @@ def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     N = 1 << n
     p = rng.uniform(0.5, 2.0, size=N - 1)
-    ktab = kernel_table(N).padded()
+    ktab = kernel_table(N)
     return p, ktab
 
 
@@ -47,10 +48,10 @@ def test_dbd_score_pair_backends_agree(n):
                     for i in range(half))
                 for x in (x0, x0 + half)
             ]
-            walk = _kernels.dbd_score_pair(p, ktab, n, v, x0, gamma)
+            walk = _slowpath.dbd_score_pair(p, ktab, n, v, x0, gamma)
             assert walk == pytest.approx(pair, rel=1e-12)
         zr += half * (v % 2)  # any bits will do; the fold must not see them
-        _kernels.dbd_update(p, ktab, n, v, zr, gamma)
+        _slowpath.dbd_update(p, ktab, n, v, zr, gamma)
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -59,7 +60,7 @@ def test_dbd_update_backends_agree(n):
     p2 = p1.copy()
     for v in range(2, n + 1):
         z = (1 << v) - 1
-        _kernels.dbd_update(p1, ktab, n, v, z, 0.2)
+        _slowpath.dbd_update(p1, ktab, n, v, z, 0.2)
         for k in range(1, 1 << v, 2):
             p2[k * (1 << (n - v)) - 1] *= 1.0 + 0.2 * ktab[(k * z % (1 << v)) << (n - v)]
     assert np.array_equal(p1, p2)
@@ -68,16 +69,16 @@ def test_dbd_update_backends_agree(n):
 def test_accumulate_and_gather_backends_agree():
     rng = np.random.default_rng(5)
     N = 64
-    tab = kernel_table(N).padded()
+    tab = kernel_table(N)
     q1 = rng.uniform(0.5, 2.0, size=N - 1)
     q2 = q1.copy()
     for z in (1, 7, 33, 63):
-        _kernels.accumulate_product(q1, tab, z, 0.11, 1)
+        _accumulate_product(q1, tab, z, 0.11)
         for i in range(N - 1):
             q2[i] *= 1.0 + 0.11 * tab[(i + 1) * z % N]
         assert np.array_equal(q1, q2)
         loop = sum(q2[i] * tab[(i + 1) * z % N] for i in range(N - 1))
-        assert _kernels.gather_score(q1, tab, z, 1) == pytest.approx(loop, rel=1e-12)
+        assert _gather_score(q1, tab, z) == pytest.approx(loop, rel=1e-12)
 
 
 def _run(code, **env):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from latgen import _kernels
 from latgen.cbc import (
     V_quality,
-    _omega_padded,
+    _accumulate_product,
+    _gather_score,
+    _omega_table,
     construct_korobov_cbc,
     construct_standard_cbc,
     scoring_plan,
@@ -55,7 +56,7 @@ def test_rader_scores_match_direct(N):
     """The prime plan's scores equal the direct sums and the Rader convolution."""
     rng = np.random.default_rng(N)
     q = rng.standard_normal(N - 1)
-    tab = _omega_padded(N)
+    tab = _omega_table(N)
     plan = scoring_plan(N, tab)
     scores, bound = plan.scores(q)
     assert sorted(plan.z.tolist()) == list(range(1, (N - 1) // 2 + 1))
@@ -110,7 +111,7 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
     """Every candidate's plan score lies within the returned bound of the
     exact gather sum, along a greedy run under 0.95^j weights."""
     if alpha is None:
-        tab, v = _omega_padded(N), construct_korobov_cbc(N, 60, W095)
+        tab, v = _omega_table(N), construct_korobov_cbc(N, 60, W095)
     else:
         tab = fourier_decay_table(alpha, N)
         v = construct_standard_cbc(N, 60, alpha, W095)
@@ -120,10 +121,10 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
         if d in (2, 30, 60):
             scores, bound = plan.scores(q)
             exact = np.array(
-                [_kernels.gather_score(q, tab, z, 1) for z in plan.z.tolist()]
+                [_gather_score(q, tab, z) for z in plan.z.tolist()]
             )
             assert np.max(np.abs(scores - exact)) <= bound
-        _kernels.accumulate_product(q, tab, v.z[d - 1], W095.gamma(d), 1)
+        _accumulate_product(q, tab, v.z[d - 1], W095.gamma(d))
     if alpha is None:
         assert np.max(np.abs(q)) > 1e20
 

@@ -109,7 +109,7 @@ def test_construct_cbc_dbd_matches_exhaustive_greedy():
 def _fold_oracle(n, gammas):
     """CBC-DBD with the fold and tie rule of the library, but with every score
     sum correctly rounded (math.fsum), so no summation order decides a bit."""
-    ktab = kernel_table(1 << n).padded()
+    ktab = kernel_table(1 << n)
     p = 1.0 + gammas[0] * ktab[1:]
     odd = np.arange(1, 1 << n, 2, dtype=np.int64)
     z = [1]

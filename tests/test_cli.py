@@ -8,6 +8,7 @@ from latgen.cbc import construct_korobov_cbc
 from latgen.cli import (
     CSV_HEADER,
     VECTOR_MAGIC,
+    fmt,
     main,
     parse_weight_spec,
     read_vector,
@@ -126,6 +127,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "--algo", "std-cbc", "--N", "16", "--s", "2",
                  "--weights", "product:1/j^2", "--out", vec]) == 2
     capsys.readouterr()
+
+
+def test_huge_modulus_exits_2_before_allocating(tmp_path, capsys):
+    vec = str(tmp_path / "v.txt")
+    assert main(["construct", "--algo", "cbc-dbd", "--n", "40", "--s", "2",
+                 "--weights", "product:1/j^2", "--out", vec]) == 2
+    assert "need N < 2^31" in capsys.readouterr().err
+    write_vector(vec, GeneratingVector(1 << 40, (1, 3)))
+    assert main(["error", "--vector", vec, "--alpha", "2",
+                 "--weights", "product:1/j^2"]) == 2
+    assert "need N < 2^31" in capsys.readouterr().err
+    # points streams, so it has no such limit
+    assert main(["points", "--vector", vec, "--limit", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "%s\t%s" % (
+        fmt(2.0**-40), fmt(3 * 2.0**-40))
 
 
 def test_missing_file_exits_1(capsys):

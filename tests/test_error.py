@@ -7,7 +7,6 @@ from latgen.cbc import construct_korobov_cbc, construct_standard_cbc
 from latgen.cbc_dbd import construct_cbc_dbd
 from latgen.error import (
     ErrorInterval,
-    ErrorSpec,
     T_alpha_quantity,
     T_quantity,
     bound_thm_cbc,
@@ -19,18 +18,9 @@ from latgen.error import (
     wce_product,
 )
 from latgen.numtheory import GeneratingVector
-from latgen.weights import GeneralWeights, ProductWeights, WeightSpec, power_weights
+from latgen.weights import GeneralWeights, ProductWeights, power_weights
 
 W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
-
-
-def test_error_spec_validation():
-    spec = ErrorSpec(2.0, WeightSpec("product-formula", formula="1/j^2"))
-    assert spec.method == "closed-form"
-    with pytest.raises(ValueError):
-        ErrorSpec(1.0, WeightSpec("product-formula", formula="1/j^2"))
-    with pytest.raises(ValueError):
-        ErrorSpec(2.0, WeightSpec("product-formula", formula="1/j^2"), method="guess")
 
 
 def test_error_interval():
@@ -181,5 +171,3 @@ def test_wce_product_guards():
     v = GeneratingVector(8, (1,))
     with pytest.raises(ValueError):
         wce_product(v, 1.0, W)
-    with pytest.raises(ValueError):
-        wce_product(v, 2.0, W, tol=0.0)

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +6,6 @@ from latgen.numtheory import (
     gcd,
     is_prime,
     lattice_points,
-    mod_inverse,
     next_prime,
     prev_prime,
     primitive_root,
@@ -46,17 +43,6 @@ def test_prev_next_prime():
     assert prev_prime(4) == 3
     with pytest.raises(ValueError):
         prev_prime(1)
-
-
-@given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=10**6))
-def test_mod_inverse_property(n, a):
-    if math.gcd(a, n) == 1:
-        inv = mod_inverse(a, n)
-        assert (a * inv) % n == 1
-        assert 0 < inv < n
-    else:
-        with pytest.raises(ValueError):
-            mod_inverse(a, n)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 61, 127, 1021])

@@ -1,5 +1,7 @@
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,9 +9,9 @@ from latgen.weights import (
     GeneralWeights,
     ProductWeights,
     WeightSpec,
-    gamma_tilde,
     power_weights,
     r_alpha_gamma,
+    subset_product_sum,
     weight_of,
 )
 
@@ -74,20 +76,19 @@ def test_power_weights_property(gammas, alpha):
         assert wp.gamma(j) == pytest.approx(w.gamma(j) ** alpha)
 
 
-def test_gamma_tilde():
-    w = ProductWeights((1.0, 0.5, 0.25))
-    assert gamma_tilde(w, 3) == 0.25
-    g = GeneralWeights(
-        2,
-        {
-            frozenset(): 1.0,
-            frozenset({1}): 0.5,
-            frozenset({2}): 0.25,
-            frozenset({1, 2}): 0.4,
-        },
+def test_subset_product_sum_matches_subset_loop():
+    rng = np.random.default_rng(3)
+    cols = [rng.uniform(-1.0, 2.0, size=7) for _ in range(4)]
+    w = ProductWeights((0.9, 0.5, 0.3, 0.1))
+    loop = math.fsum(
+        weight_of(u, w) * math.prod(cols[j - 1][i] for j in u)
+        for size in range(1, 5) for u in combinations(range(1, 5), size)
+        for i in range(7)
     )
-    # max(gamma_{2}/gamma_{}, gamma_{1,2}/gamma_{1}) = max(0.25, 0.8)
-    assert gamma_tilde(g, 2) == pytest.approx(0.8)
+    assert subset_product_sum(w, iter(cols)) == pytest.approx(loop, rel=1e-13)
+    g = GeneralWeights.from_product(w)
+    assert subset_product_sum(g, cols) == pytest.approx(loop, rel=1e-13)
+    assert subset_product_sum(w, []) == 0.0 == subset_product_sum(g, [])
 
 
 def test_weight_spec_formulas():
