@@ -8,8 +8,11 @@ over the earlier components.
 
 The fast mode is Nuyens and Cools' fast CBC on numpy.fft. `scoring_plan`
 builds, once per construction, the index arrays that reorder q and the
-spectrum of the reordered kernel; after that one-off cost every component
-costs one gather of q, one rfft/irfft pair, O(N log N), and the exact rescore.
+spectrum of the reordered kernel, both from numtheory.unit_layout; after that
+one-off cost every component costs one gather of q, one rfft/irfft pair,
+O(N log N), and the exact rescore. The rescore and the state update read the
+column tab[k z mod N] in the natural order of q: for prime N from the doubled
+power table at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
 
 - Prime N: in the order of powers of a primitive root g the scores are a
   cyclic correlation. Since g^((N-1)/2) = -1 and the kernel table is exactly
@@ -35,13 +38,13 @@ same vectors as the naive O(N^2) mode.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .error import lattice_kernel_sum
 from .kernel import LN4, fourier_decay_table, kernel_table
-from .numtheory import MODULUS_LIMIT, GeneratingVector, is_prime, primitive_root
+from .numtheory import GeneratingVector, UnitLayout, is_prime, unit_layout
 from .spectral import convolver
 from .weights import ProductWeights
 
@@ -69,27 +72,30 @@ def V_quality(v: GeneratingVector, w) -> float:
     return lattice_kernel_sum(v, _omega_table(v.N), w)
 
 
-def _accumulate_product(q: np.ndarray, tab: np.ndarray, z: int, gamma: float):
-    """q[k-1] *= 1 + gamma * tab[k z mod N] for k = 1..N-1, N = len(tab), in place."""
-    N = tab.shape[0]
-    q *= 1.0 + gamma * tab[(np.arange(1, N, dtype=np.int64) * z) % N]
+def _accumulate_product(q: np.ndarray, column, z: int, gamma: float):
+    """q[k-1] *= 1 + gamma * tab[k z mod N] for k = 1..N-1, in place; column
+    is _natural_column(layout, tab)."""
+    q *= 1.0 + gamma * column(z)
 
 
-def _gather_score(q: np.ndarray, tab: np.ndarray, z: int) -> float:
+def _gather_score(q: np.ndarray, column, z: int) -> float:
     """sum_{k=1}^{N-1} q[k-1] * tab[k z mod N] -- one exact candidate score."""
-    N = tab.shape[0]
-    return float(q @ tab[(np.arange(1, N, dtype=np.int64) * z) % N])
+    return float(q @ column(z))
 
 
-def _powers(g: int, L: int, N: int) -> np.ndarray:
-    """[g^0, ..., g^(L-1)] mod N by doubling; N < 2^31 keeps the products exact."""
-    pw = np.ones(L, dtype=np.int64)
-    n = 1
-    while n < L:
-        m = min(n, L - n)
-        pw[n : n + m] = pw[:m] * pow(g, n, N) % N
-        n += m
-    return pw
+def _natural_column(layout: UnitLayout, tab: np.ndarray):
+    """z -> tab[k z mod N] for k = 1..N-1, the order of the state q.
+
+    For prime N it is read from the power table doubled:
+    k z = +-g^(dlog k + dlog z), so tab[k z mod N] = tt[dlog k + dlog z].
+    """
+    N = layout.N
+    if N & (N - 1) == 0:
+        k = np.arange(1, N, dtype=np.int64)
+        return lambda z: np.take(tab, (k * z) & (N - 1))
+    tt = np.tile(tab[layout.blocks[0]], 2)
+    dk = layout.dlog[1:]
+    return lambda z: np.take(tt, dk + layout.dlog[z])
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ class _Level:
 class ScoringPlan:
     """Candidates z <= N/2 and what scores all of them at once.
 
-    scores(q)[i] approximates _gather_score(q, tab, z[i]); the returned
+    scores(q)[i] approximates _gather_score(q, column, z[i]); the returned
     bound caps the difference.
     """
 
@@ -118,6 +124,7 @@ class ScoringPlan:
     offset: int  # the scores start here in the inverse transform
     const_idx: np.ndarray  # q slots whose kernel value is the same for every z
     const_tab: np.ndarray
+    column: Callable[[int], np.ndarray]  # _natural_column of the plan's table
 
     def scores(self, q: np.ndarray):
         spec = None
@@ -143,44 +150,33 @@ class ScoringPlan:
 
 def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     """The scoring plan for prime N >= 3 or N = 2^n >= 8; tab is the
-    residue-indexed, exactly symmetric kernel table (tab[a] == tab[N - a])."""
-    tab = np.asarray(tab, dtype=float)
-    if tab.shape != (N,) or not np.array_equal(tab[1:], tab[:0:-1]):
-        raise ValueError("tab must have length N and satisfy tab[a] == tab[N - a]")
-    if N >= MODULUS_LIMIT:
-        raise ValueError("the fast mode needs N < 2^31")
-    if N >= 8 and N & (N - 1) == 0:
-        n = N.bit_length() - 1
-        Q = N // 4
-        pw = _powers(5, Q, N)
-        levels = []
-        for c in range(n - 2):
-            M = N >> c
-            L = M // 4
-            p = pw[:L] % M
-            conv = convolver(tab[p << c])  # L = 2^(n-2-c): the direct route
-            r = p[(-np.arange(L)) % L]
-            levels.append(_Level(i1=(r << c) - 1, i2=((M - r) << c) - 1, length=conv.size,
-                                 K=(Q // L) * conv.spectrum, step=Q // L,
-                                 kernel_norm=conv.norm))
-        # k = N/2 and k = N/4, 3N/4 meet tab[N/2] and tab[N/4] for every odd z
-        return ScoringPlan(z=np.minimum(pw, N - pw), levels=tuple(levels), size=Q, offset=0,
-                           const_idx=np.array([N // 2 - 1, N // 4 - 1, 3 * N // 4 - 1]),
-                           const_tab=tab[[N // 2, N // 4, N // 4]])
-    if not is_prime(N) or N < 3:
+    residue-indexed, exactly symmetric kernel table (tab[a] == tab[N - a]).
+
+    Each block of unit_layout(N) is one level: its residues a_i order the
+    kernel, and q is folded over the pairs a_i, N - a_i in reverse order.
+    """
+    layout = unit_layout(N)
+    tab = layout.check_table(tab)
+    if not layout.blocks:
         raise ValueError("the fast mode needs a prime N >= 3 or N = 2^n >= 8")
-    H = (N - 1) // 2
-    pw = _powers(primitive_root(N), H, N)
-    conv = convolver(tab[pw])
-    r = pw[(-np.arange(H)) % H]
-    level = _Level(i1=r - 1, i2=N - r - 1, length=conv.size, K=conv.spectrum, step=1,
-                   kernel_norm=conv.norm)
-    return ScoringPlan(z=np.minimum(pw, N - pw), levels=(level,), size=conv.size,
-                       offset=conv.offset,
-                       const_idx=np.empty(0, dtype=np.int64), const_tab=np.empty(0))
+    Q = layout.blocks[0].shape[0]
+    convs = [convolver(tab[res]) for res in layout.blocks]  # N = 2^n: power-of-two lengths
+    levels = []
+    for res, conv in zip(layout.blocks, convs):
+        L = res.shape[0]
+        r = res[(-np.arange(L)) % L]
+        levels.append(_Level(i1=r - 1, i2=N - r - 1, length=conv.size, K=(Q // L) * conv.spectrum,
+                             step=Q // L, kernel_norm=conv.norm))
+    # N = 2^n: k = N/2 and k = N/4, 3N/4 meet tab[N/2] and tab[N/4] for every odd z
+    a = layout.fixed[1:]
+    const = np.concatenate((a, (N - a)[N - a != a]))
+    top = layout.blocks[0]
+    return ScoringPlan(z=np.minimum(top, N - top), levels=tuple(levels), size=convs[0].size,
+                       offset=convs[0].offset, const_idx=const - 1, const_tab=tab[const],
+                       column=_natural_column(layout, tab))
 
 
-def _refined_argmin(plan: ScoringPlan, q: np.ndarray, tab: np.ndarray) -> int:
+def _refined_argmin(plan: ScoringPlan, q: np.ndarray) -> int:
     """Exact-rescore every candidate within 2 * bound of the minimal FFT score;
     smallest z wins ties."""
     sc, bound = plan.scores(q)
@@ -188,7 +184,7 @@ def _refined_argmin(plan: ScoringPlan, q: np.ndarray, tab: np.ndarray) -> int:
     best_z = None
     best_val = math.inf
     for zz in near.tolist():
-        val = _gather_score(q, tab, zz)
+        val = _gather_score(q, plan.column, zz)
         if val < best_val:
             best_val = val
             best_z = zz
@@ -203,17 +199,20 @@ def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray, mode
     plan = None
     if mode == "fast" and (not power_of_two or N >= 8):
         plan = scoring_plan(N, tab)
+        column = plan.column
+    else:
+        column = _natural_column(unit_layout(N), tab)
     z_candidates = np.arange(1, N, 2 if power_of_two else 1, dtype=np.int64)
     q = 1.0 + gammas[0] * tab[1:]
     z = [1]
     for d in range(2, s + 1):
         if plan is not None:
-            zd = _refined_argmin(plan, q, tab)
+            zd = _refined_argmin(plan, q)
         else:
-            vals = [_gather_score(q, tab, int(zz)) for zz in z_candidates]
+            vals = [_gather_score(q, column, int(zz)) for zz in z_candidates]
             zd = int(z_candidates[int(np.argmin(vals))])
         z.append(zd)
-        _accumulate_product(q, tab, zd, gammas[d - 1])
+        _accumulate_product(q, column, zd, gammas[d - 1])
     return GeneratingVector(N, tuple(z))
 
 

@@ -5,7 +5,8 @@ worst-case error and related quantities for a stored vector), sweep (CSV of
 convergence/timing rows over a modulus schedule), points (stream the lattice
 point set), experiments (run a pinned reproduction config).
 
-Exit codes: 0 ok, 1 I/O failure, 2 usage/validation error.
+Exit codes: 0 ok, 1 I/O failure, 2 usage/validation error (running out of
+memory included).
 """
 
 import argparse
@@ -344,8 +345,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _modulus_of(args):
+    """The modulus a command works at (a sweep's largest), or None."""
+    try:
+        if args.command == "construct":
+            return _resolve_modulus(args)
+        if args.command == "error":
+            return read_vector(args.vector).N
+        if args.command == "sweep":
+            return max(_sweep_moduli(args))
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
+    args = None
     try:
         args = ap.parse_args(argv)
         return args.func(args)
@@ -355,6 +371,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        N = None if args is None else _modulus_of(args)
+        print("error: not enough memory" + ("" if N is None else " for N = %d" % N),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,13 +1,26 @@
-"""Integer utilities: primality, prime neighbors, primitive roots, and rank-1
-lattice point generation.
+"""Integer utilities: primality, prime neighbors, primitive roots, rank-1
+lattice point generation, and the unit layout of the residues mod N.
 
-All arithmetic is done on Python integers (arbitrary precision), so modular
-products like k*z_j never overflow regardless of the modulus size.
+The scalar functions work on Python integers (arbitrary precision), so
+modular products like k*z_j never overflow regardless of the modulus size.
+
+unit_layout(N) orders the residues k mod N once so that multiplying by a
+unit z only rotates them. For prime N they are 0 and the powers g^i of the
+primitive root g, folded over +-: g^((N-1)/2) = -1, so on a table with
+tab[a] == tab[N - a] the ordered values for k z, z = +-g^b, are those for z = 1
+rotated by b. For N = 2^n the residue k = 2^c k' (k' odd) sits in level c,
+whose odd part k' runs through the cosets +-5^i mod N/2^c; z = +-5^b rotates
+every level by b. The few residues no unit moves (0, and N/2, N/4, 3N/4 for
+N = 2^n) come last. A lattice sum over k then reads each column as slices of
+one table, with no modular arithmetic and no gather per column; other moduli
+keep the natural order k = 0..N-1 and gather tab[k z mod N].
 """
 
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Tuple
+
+import numpy as np
 
 __all__ = [
     "gcd",
@@ -18,6 +31,9 @@ __all__ = [
     "GeneratingVector",
     "lattice_points",
     "MODULUS_LIMIT",
+    "UnitLayout",
+    "UnitColumns",
+    "unit_layout",
 ]
 
 #: Moduli N >= MODULUS_LIMIT are refused wherever arrays of length N are
@@ -144,3 +160,116 @@ def lattice_points(v: GeneratingVector) -> Iterator[Tuple[float, ...]]:
     N = v.N
     for k in range(N):
         yield tuple((k * zj % N) / N for zj in v.z)
+
+
+def _powers(g: int, L: int, N: int) -> np.ndarray:
+    """[g^0, ..., g^(L-1)] mod N by doubling; N < 2^31 keeps the products exact."""
+    pw = np.ones(L, dtype=np.int64)
+    n = 1
+    while n < L:
+        m = min(n, L - n)
+        pw[n : n + m] = pw[:m] * pow(g, n, N) % N
+        n += m
+    return pw
+
+
+#: Blocks no longer than this are stored once per rotation, in a table of
+#: ROW_SPAN rows of about 2 ROW_SPAN values, so a column takes one slice per
+#: longer block and one row for all the rest: the many short levels of
+#: N = 2^n then cost no Python work per column.
+ROW_SPAN = 64
+
+
+@dataclass(frozen=True)
+class UnitLayout:
+    """The residues mod N in an order that every unit z merely rotates.
+
+    The slots are each block in turn, then the fixed residues, which no unit
+    moves. Block c (level c of N = 2^n, or the one block of prime N) holds
+    a_i = 2^c (5^i mod N/2^c), resp. g^i, for i < its length L_c; for a unit
+    z = +-5^b (+-g^b), dlog[z] = b, the residue a_i z mod N is
+    +-a_(i+b mod L_c). counts holds how many residues k each slot stands for
+    (2 for a +- pair, 1 for 0 and N/2) and sums to N. Moduli neither prime nor
+    2^n are not cyclic: their slots are k = 0..N-1, one each, in natural order.
+    """
+
+    N: int
+    cyclic: bool
+    blocks: Tuple[np.ndarray, ...]  # int64 residues, longest first
+    fixed: np.ndarray  # int64 residues, 0 first; all of 0..N-1 when not cyclic
+    counts: np.ndarray  # float multiplicity of each slot
+    dlog: np.ndarray  # int32, dlog[z] = b for each unit z when cyclic, else -1
+
+    def check_table(self, tab) -> np.ndarray:
+        """tab as floats, once it is known to have length N and to be exactly
+        symmetric (tab[a] == tab[N - a]), as every latgen kernel table is;
+        only then do the slots of a +- pair meet equal values."""
+        tab = np.asarray(tab, dtype=float)
+        if tab.shape != (self.N,) or not np.array_equal(tab[1:], tab[:0:-1]):
+            raise ValueError("tab must have length N and satisfy tab[a] == tab[N - a]")
+        return tab
+
+
+def unit_layout(N: int) -> UnitLayout:
+    """The unit layout of the residues mod N (see UnitLayout)."""
+    if not 2 <= N < MODULUS_LIMIT:
+        raise ValueError("need 2 <= N < 2^31")
+    dlog = np.full(N, -1, dtype=np.int32)
+    if N & (N - 1) == 0:
+        Q = max(N // 4, 1)
+        pw = _powers(5, Q, N)
+        blocks = tuple((pw[: N >> (c + 2)] & ((N >> c) - 1)) << c
+                       for c in range(N.bit_length() - 3))
+        fixed = np.array([0, N // 2, N // 4][: min(N.bit_length(), 3)], dtype=np.int64)
+        fixed_counts = [1.0, 1.0, 2.0][: fixed.shape[0]]
+    elif is_prime(N):
+        Q = (N - 1) // 2
+        pw = _powers(primitive_root(N), Q, N)
+        blocks = (pw,)
+        fixed = np.zeros(1, dtype=np.int64)
+        fixed_counts = [1.0]
+    else:
+        return UnitLayout(N, False, (), np.arange(N, dtype=np.int64), np.ones(N), dlog)
+    b = np.arange(Q, dtype=np.int64)
+    dlog[pw] = b
+    dlog[N - pw] = b
+    counts = np.full(sum(bl.shape[0] for bl in blocks) + fixed.shape[0], 2.0)
+    counts[counts.shape[0] - fixed.shape[0] :] = fixed_counts
+    return UnitLayout(N, True, blocks, fixed, counts, dlog)
+
+
+class UnitColumns:
+    """The columns tab[k z mod N] of one table for the units z, in slot order.
+
+    tab is residue-indexed and exactly symmetric (UnitLayout.check_table). A
+    block longer than ROW_SPAN is stored twice in a row, so the values that a
+    rotation by b meets are one slice of it. The shorter blocks and the fixed
+    slots are stored once per rotation, as the rows of one table.
+    """
+
+    def __init__(self, layout: UnitLayout, tab):
+        self.layout = layout
+        self.tab = tab = layout.check_table(tab)
+        long = [bl for bl in layout.blocks if bl.shape[0] > ROW_SPAN]
+        short = layout.blocks[len(long) :]
+        self.doubled = [(np.tile(tab[bl], 2), bl.shape[0]) for bl in long]
+        period = short[0].shape[0] if short else 1  # every shorter length divides it
+        r = np.arange(period)[:, None]
+        idx = [bl[(r + np.arange(bl.shape[0])) % bl.shape[0]] for bl in short]
+        idx.append(np.broadcast_to(layout.fixed, (period, layout.fixed.shape[0])))
+        self.rows = tab[np.hstack(idx)] if layout.cyclic else None
+
+    def ordered(self, z: int) -> np.ndarray:
+        """tab[k z mod N] for the slots k of the layout, in slot order."""
+        lay = self.layout
+        if not lay.cyclic:
+            return self.tab[lay.fixed * z % lay.N]
+        b = int(lay.dlog[z])
+        if b < 0:
+            raise ValueError("z = %d is not a unit mod %d" % (z, lay.N))
+        row = self.rows[b % self.rows.shape[0]]
+        if not self.doubled:
+            return row
+        parts = [tt[b % L : b % L + L] for tt, L in self.doubled]
+        parts.append(row)
+        return np.concatenate(parts)

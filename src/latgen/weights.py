@@ -113,7 +113,7 @@ def power_weights(w: ProductWeights, alpha: float) -> ProductWeights:
     return ProductWeights(tuple(g**alpha for g in w.gammas))
 
 
-def subset_product_sum(w: Weights, columns) -> float:
+def subset_product_sum(w: Weights, columns, counts=None) -> float:
     """sum over nonempty u of gamma_u * sum_i prod_{j in u} columns[j-1][i].
 
     columns holds one equal-length array per coordinate j = 1..s; every
@@ -123,7 +123,10 @@ def subset_product_sum(w: Weights, columns) -> float:
     one column. The products are accumulated as d = prod - 1 directly
     (d' = d + x (1 + d)), so per-point values far below machine epsilon keep
     full relative precision instead of being rounded away inside 1 + d.
-    General weights enumerate the subsets.
+    General weights enumerate the subsets. counts, if given, says how many
+    terms each index i stands for (numtheory.UnitLayout.counts). Every sum
+    over i is one math.fsum, correctly rounded, so it does not depend on the
+    order of the i.
     """
     if isinstance(w, ProductWeights):
         d = None
@@ -136,7 +139,11 @@ def subset_product_sum(w: Weights, columns) -> float:
             # took about 15% less time on a 2-core Xeon, numpy 2.4).
             del col
             d = x if d is None else d + x * (1.0 + d)
-        return 0.0 if d is None else math.fsum(d)
+        if d is None:
+            return 0.0
+        if counts is not None:
+            d *= counts
+        return math.fsum(memoryview(d))
     cols = list(columns)
     total = []
     for size in range(1, len(cols) + 1):
@@ -144,7 +151,9 @@ def subset_product_sum(w: Weights, columns) -> float:
             prod = np.ones(cols[0].shape[0])
             for j in u:
                 prod = prod * cols[j - 1]
-            total.append(w.gamma(u) * float(prod.sum()))
+            if counts is not None:
+                prod *= counts
+            total.append(w.gamma(u) * math.fsum(memoryview(prod)))
     return math.fsum(total)
 
 

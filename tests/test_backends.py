@@ -11,8 +11,9 @@ import pytest
 
 import latgen
 from latgen import _kernels, _slowpath
-from latgen.cbc import _accumulate_product, _gather_score
+from latgen.cbc import _accumulate_product, _gather_score, _natural_column
 from latgen.kernel import kernel_table
+from latgen.numtheory import unit_layout
 
 
 def test_backend_is_reported():
@@ -68,17 +69,18 @@ def test_dbd_update_backends_agree(n):
 
 def test_accumulate_and_gather_backends_agree():
     rng = np.random.default_rng(5)
-    N = 64
-    tab = kernel_table(N)
-    q1 = rng.uniform(0.5, 2.0, size=N - 1)
-    q2 = q1.copy()
-    for z in (1, 7, 33, 63):
-        _accumulate_product(q1, tab, z, 0.11)
-        for i in range(N - 1):
-            q2[i] *= 1.0 + 0.11 * tab[(i + 1) * z % N]
-        assert np.array_equal(q1, q2)
-        loop = sum(q2[i] * tab[(i + 1) * z % N] for i in range(N - 1))
-        assert _gather_score(q1, tab, z) == pytest.approx(loop, rel=1e-12)
+    for N, zs in ((64, (1, 7, 33, 63)), (61, (1, 2, 17, 60))):
+        tab = kernel_table(N)
+        column = _natural_column(unit_layout(N), tab)
+        q1 = rng.uniform(0.5, 2.0, size=N - 1)
+        q2 = q1.copy()
+        for z in zs:
+            _accumulate_product(q1, column, z, 0.11)
+            for i in range(N - 1):
+                q2[i] *= 1.0 + 0.11 * tab[(i + 1) * z % N]
+            assert np.array_equal(q1, q2)
+            loop = sum(q2[i] * tab[(i + 1) * z % N] for i in range(N - 1))
+            assert _gather_score(q1, column, z) == pytest.approx(loop, rel=1e-12)
 
 
 def _run(code, **env):

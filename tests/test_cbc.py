@@ -116,15 +116,16 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
         tab = fourier_decay_table(alpha, N)
         v = construct_standard_cbc(N, 60, alpha, W095)
     plan = scoring_plan(N, tab)
+    k = np.arange(1, N)
     q = 1.0 + W095.gamma(1) * tab[1:]
     for d in range(2, 61):
         if d in (2, 30, 60):
             scores, bound = plan.scores(q)
-            exact = np.array(
-                [_gather_score(q, tab, z) for z in plan.z.tolist()]
-            )
+            exact = np.array([q @ tab[k * z % N] for z in plan.z.tolist()])
             assert np.max(np.abs(scores - exact)) <= bound
-        _accumulate_product(q, tab, v.z[d - 1], W095.gamma(d))
+            for z in plan.z.tolist()[:50]:
+                assert _gather_score(q, plan.column, z) == q @ tab[k * z % N]
+        _accumulate_product(q, plan.column, v.z[d - 1], W095.gamma(d))
     if alpha is None:
         assert np.max(np.abs(q)) > 1e20
 

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -148,6 +151,29 @@ def test_missing_file_exits_1(capsys):
     assert main(["error", "--vector", "/nonexistent/v.txt", "--alpha", "2",
                  "--weights", "product:1/j^2"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps the address space only on Linux")
+def test_running_out_of_memory_exits_2(tmp_path):
+    """Under a 1.5 GB address-space limit the first table of N = 2^29 or 2^30
+    doubles cannot be allocated; nothing of it is ever touched."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    vec = str(tmp_path / "v.txt")
+    write_vector(vec, GeneratingVector(1 << 30, (1, 3)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    for argv, N in ((["construct", "--algo", "cbc-dbd", "--n", "29", "--s", "3",
+                      "--weights", "product:1/j^2", "--out", str(tmp_path / "w.txt")], 1 << 29),
+                    (["error", "--vector", vec, "--alpha", "2",
+                      "--weights", "product:1/j^2"], 1 << 30)):
+        out = subprocess.run([sys.executable, "-m", "latgen.cli", *argv], capture_output=True,
+                             text=True, env=env, preexec_fn=cap, timeout=120)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == "error: not enough memory for N = %d\n" % N
 
 
 def test_sweep_csv_schema(tmp_path):

@@ -13,12 +13,14 @@ from latgen.error import (
     bound_thm_cbcdbd,
     bound_thm_existence,
     dual_indicator,
+    lattice_kernel_sum,
     vartheta_table,
     wce_bruteforce,
     wce_product,
 )
-from latgen.numtheory import GeneratingVector
-from latgen.weights import GeneralWeights, ProductWeights, power_weights
+from latgen.kernel import fourier_decay_table, kernel_table
+from latgen.numtheory import GeneratingVector, gcd
+from latgen.weights import GeneralWeights, ProductWeights, power_weights, subset_product_sum
 
 W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
 
@@ -171,3 +173,29 @@ def test_wce_product_guards():
     v = GeneratingVector(8, (1,))
     with pytest.raises(ValueError):
         wce_product(v, 1.0, W)
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 9, 12, 15, 61, 64, 1021, 1024, 16381, 1 << 14])
+def test_lattice_kernel_sum_matches_natural_order_gather(N):
+    """The unit-layout sum against the sum over k = 0..N-1 in natural order,
+    each column gathered as tab[k z mod N]: equal for product weights, within
+    rounding for general weights."""
+    rng = np.random.default_rng(N)
+    units = [k for k in range(1, N) if gcd(k, N) == 1]
+    k = np.arange(N, dtype=np.int64)
+    tables = [fourier_decay_table(a, N) for a in (2.0, 2.5, 4.0)]
+    tables += [vartheta_table(N), kernel_table(N)]
+    families = [lambda j: 1.0 / j**2, lambda j: 0.95**j, lambda j: 0.7**j]
+    for s, general in ((40, False), (4, True)):
+        v = GeneratingVector(N, tuple(int(z) for z in rng.choice(units, size=s)))
+        for gamma in families:
+            w = ProductWeights(tuple(gamma(j) for j in range(1, s + 1)))
+            if general:
+                w = GeneralWeights.from_product(w)
+            for tab in tables:
+                got = lattice_kernel_sum(v, tab, w)
+                oracle = subset_product_sum(w, (tab[k * zj % N] for zj in v.z))
+                if general:
+                    assert got == pytest.approx(oracle, rel=1e-13)
+                else:
+                    assert got == oracle

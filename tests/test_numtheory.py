@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,8 @@ from latgen.numtheory import (
     next_prime,
     prev_prime,
     primitive_root,
+    UnitColumns,
+    unit_layout,
 )
 
 
@@ -84,3 +87,49 @@ def test_lattice_points():
 
 def test_gcd_reexport():
     assert gcd(12, 18) == 6
+
+
+def _symmetric_table(N):
+    t = np.random.default_rng(N).standard_normal(N)
+    return t + t[(-np.arange(N)) % N]  # t[a] + t[N - a], exactly symmetric
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 8, 61, 64, 131, 512, 1021, 2048])
+def test_unit_layout_rotates_for_every_unit(N):
+    """For every unit z the layout's column is tab[k z mod N] over its slots,
+    and the slots with their negatives cover each residue count-many times."""
+    lay = unit_layout(N)
+    assert lay.cyclic
+    res = np.concatenate(lay.blocks + (lay.fixed,))  # the slots for z = 1
+    assert res.shape == lay.counts.shape and lay.counts.sum() == N
+    covered = np.zeros(N)
+    np.add.at(covered, res, lay.counts / 2)
+    np.add.at(covered, (N - res) % N, lay.counts / 2)
+    assert np.array_equal(covered, np.ones(N))
+    tab = _symmetric_table(N)
+    cols = UnitColumns(lay, tab)
+    for z in range(1, N):
+        if gcd(z, N) == 1:
+            assert np.array_equal(cols.ordered(z), tab[res * z % N])
+        else:
+            assert lay.dlog[z] == -1
+
+
+def test_unit_layout_of_other_moduli_is_the_natural_order():
+    lay = unit_layout(12)
+    assert not lay.cyclic and not lay.blocks
+    assert np.array_equal(lay.fixed, np.arange(12))
+    assert np.array_equal(lay.counts, np.ones(12))
+    tab = _symmetric_table(12)
+    assert np.array_equal(UnitColumns(lay, tab).ordered(5), tab[np.arange(12) * 5 % 12])
+
+
+def test_unit_layout_rejects_bad_input():
+    with pytest.raises(ValueError):
+        unit_layout(1)
+    with pytest.raises(ValueError):
+        unit_layout(1 << 31)
+    with pytest.raises(ValueError):  # not symmetric
+        UnitColumns(unit_layout(13), np.arange(13.0))
+    with pytest.raises(ValueError):
+        UnitColumns(unit_layout(16), _symmetric_table(16)).ordered(4)
