@@ -15,29 +15,20 @@ import itertools
 import json
 import os
 import sys
-import time
 
-from .cbc import construct_korobov_cbc, construct_standard_cbc
-from .cbc_dbd import construct_cbc_dbd
 from .error import (
     T_quantity,
     bound_thm_cbc,
     bound_thm_cbcdbd,
     wce_product,
 )
-from .numtheory import MODULUS_LIMIT, GeneratingVector, is_prime, lattice_points, prev_prime
-from .weights import ProductWeights, WeightSpec, power_weights
+from .numtheory import GeneratingVector, check_modulus, is_prime, lattice_points, prev_prime
+from .sweep import construct, fmt, sweep_row, write_sweep_csv
+from .weights import ProductWeights, parse_weight_spec, power_weights
 
 __all__ = ["main", "read_vector", "write_vector", "parse_weight_spec"]
 
 VECTOR_MAGIC = "# latgen v1"
-CSV_HEADER = ["N", "s", "alpha", "weights_id", "algorithm", "wce",
-              "construct_seconds", "eval_seconds"]
-
-
-def fmt(x: float) -> str:
-    """Lossless double formatting (17 significant digits)."""
-    return "%.17g" % (x,)
 
 
 # ---------------------------------------------------------------- vector files
@@ -77,35 +68,6 @@ def read_vector(path: str) -> GeneratingVector:
         raise ValueError("malformed vector file %s: %s" % (path, exc))
 
 
-# --------------------------------------------------------------- weight specs
-
-def parse_weight_spec(text: str) -> WeightSpec:
-    """Grammar: product:1/j^2 | product:1/j^3 | product:c^j:<c> |
-    product:list:<path> | general:<path>."""
-    if text in ("product:1/j^2", "product:1/j^3"):
-        return WeightSpec(kind="product-formula", formula=text.split(":", 1)[1])
-    if text.startswith("product:c^j:"):
-        return WeightSpec(kind="product-formula", formula="c^j",
-                          c=float(text.rsplit(":", 1)[1]))
-    if text.startswith("product:list:"):
-        path = text.split(":", 2)[2]
-        with open(path) as fh:
-            gammas = tuple(float(ln) for ln in fh if ln.strip())
-        return WeightSpec(kind="product-list", gammas=gammas)
-    if text.startswith("general:"):
-        path = text.split(":", 1)[1]
-        table = []
-        with open(path) as fh:
-            for ln in fh:
-                if not ln.strip():
-                    continue
-                subset_str, gamma_str = ln.split()
-                u = frozenset(int(c) for c in subset_str.split(","))
-                table.append((u, float(gamma_str)))
-        return WeightSpec(kind="general-table", table=tuple(table))
-    raise ValueError("unrecognized weight spec %r" % (text,))
-
-
 # ------------------------------------------------------------------ construct
 
 def _resolve_modulus(args) -> int:
@@ -114,41 +76,9 @@ def _resolve_modulus(args) -> int:
     return 1 << args.n if args.n is not None else args.N
 
 
-def _check_modulus(N: int):
-    """Refuse a modulus too large for any table before one is allocated."""
-    if N >= MODULUS_LIMIT:
-        raise ValueError("N = %d is too large: need N < 2^31" % N)
-
-
-def _construct(algo: str, N: int, s: int, weights: WeightSpec, alpha):
-    _check_modulus(N)
-    if algo == "cbc-dbd":
-        if N & (N - 1) != 0 or N < 2:
-            raise ValueError("cbc-dbd requires N = 2^n")
-        w = weights.resolve(s)
-        if not isinstance(w, ProductWeights):
-            raise ValueError("cbc-dbd requires product weights")
-        return construct_cbc_dbd(N.bit_length() - 1, s, w)
-    if algo == "korobov-cbc":
-        if not is_prime(N) or N < 3:
-            raise ValueError("N must be prime")
-        w = weights.resolve(s)
-        if not isinstance(w, ProductWeights):
-            raise ValueError("korobov-cbc requires product weights")
-        return construct_korobov_cbc(N, s, w)
-    if algo == "std-cbc":
-        if alpha is None:
-            raise ValueError("std-cbc requires --alpha")
-        w = weights.resolve(s)
-        if not isinstance(w, ProductWeights):
-            raise ValueError("std-cbc requires product weights")
-        return construct_standard_cbc(N, s, alpha, power_weights(w, alpha))
-    raise ValueError("unknown algorithm %r" % (algo,))
-
-
 def cmd_construct(args) -> int:
     N = _resolve_modulus(args)
-    v = _construct(args.algo, N, args.s, parse_weight_spec(args.weights), args.alpha)
+    v = construct(args.algo, N, args.s, parse_weight_spec(args.weights), args.alpha)
     write_vector(args.out, v)
     return 0
 
@@ -157,7 +87,7 @@ def cmd_construct(args) -> int:
 
 def cmd_error(args) -> int:
     v = read_vector(args.vector)
-    _check_modulus(v.N)
+    check_modulus(v.N)
     spec = parse_weight_spec(args.weights)
     w = spec.resolve(v.s)
     w_eval = w
@@ -207,28 +137,6 @@ def _sweep_moduli(args):
     return [prev_prime(1 << n) for n in range(lo, hi + 1)]
 
 
-def sweep_row(algo: str, N: int, s: int, weights_text: str, alpha: float):
-    """One SweepRow as a dict; used directly and by the process pool.
-
-    The smoothness-free constructions (cbc-dbd, korobov-cbc) receive the
-    weight sequence as given; std-cbc targets the space whose sequence is
-    the alpha-th power. The error is always evaluated with the powered
-    sequence, matching the convergence plots being reproduced.
-    """
-    spec = parse_weight_spec(weights_text)
-    w = spec.resolve(s)
-    if not isinstance(w, ProductWeights):
-        raise ValueError("sweeps require product weights")
-    t0 = time.perf_counter()
-    v = _construct(algo, N, s, spec, alpha)
-    t1 = time.perf_counter()
-    wce = wce_product(v, alpha, power_weights(w, alpha))
-    t2 = time.perf_counter()
-    return {"N": N, "s": s, "alpha": alpha, "weights_id": weights_text,
-            "algorithm": algo, "wce": wce,
-            "construct_seconds": t1 - t0, "eval_seconds": t2 - t1}
-
-
 def _run_rows(jobs):
     threads = int(os.environ.get("LATGEN_THREADS") or "0")
     if threads > 1 and len(jobs) > 1:
@@ -241,17 +149,6 @@ def _run_rows(jobs):
 
 def _sweep_row_star(job):
     return sweep_row(*job)
-
-
-def write_sweep_csv(path: str, rows):
-    rows = sorted(rows, key=lambda r: (r["alpha"], r["N"]))
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(CSV_HEADER)
-        for r in rows:
-            wr.writerow([r["N"], r["s"], fmt(float(r["alpha"])), r["weights_id"],
-                         r["algorithm"], fmt(r["wce"]),
-                         fmt(r["construct_seconds"]), fmt(r["eval_seconds"])])
 
 
 def cmd_sweep(args) -> int:

@@ -20,10 +20,10 @@ import numpy as np
 
 from .cbc import construct_korobov_cbc, construct_standard_cbc
 from .cbc_dbd import C_constant, construct_cbc_dbd, h_bar, h_naive, new_digit_state, update_p
-from .cli import sweep_row, write_sweep_csv
 from .error import vartheta_table, wce_bruteforce, wce_product
 from .kernel import vartheta_truncated
 from .numtheory import prev_prime
+from .sweep import sweep_row, write_sweep_csv
 from .weights import GeneralWeights, ProductWeights, power_weights
 
 __all__ = ["ExperimentConfig", "CONFIGS", "run_experiment"]

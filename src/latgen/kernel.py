@@ -5,6 +5,11 @@ truncated Fourier kernel vartheta_N, Bernoulli polynomials, zeta(alpha), and
 the Fourier decay sum sum_{m != 0} e^{2 pi i m x} / |m|^alpha that appears in
 the worst-case error.
 
+scipy is imported only by the Hurwitz-zeta fold of fourier_decay_table at
+alpha outside {2, 4, 6, 8}, on its first use; the log-sine tables, the
+even-alpha closed forms and everything else here need numpy alone, so a
+process that never builds such a table never loads scipy.
+
 The per-modulus tables, kernel_table and fourier_decay_table here and
 error.vartheta_table, share one format: a length-N array indexed by the
 residue a = k z mod N, exactly symmetric (tab[a] == tab[N - a]). The log-sine
@@ -14,7 +19,6 @@ table, which is undefined at a = 0, stores tab[0] = 0 there.
 import math
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .spectral import cosine_dft
 
@@ -97,19 +101,26 @@ def bernoulli_poly(alpha: int, x):
     return result
 
 
+def _check_alpha(alpha):
+    if not (math.isfinite(alpha) and alpha > 1.0):
+        raise ValueError("requires finite alpha > 1, got alpha = %r" % (alpha,))
+
+
 def zeta(alpha: float) -> float:
     """Riemann zeta via truncated sum plus Euler-Maclaurin tail correction.
 
     Absolute error well below 1e-12 for alpha >= 1.5.
     """
-    if alpha <= 1.0:
-        raise ValueError("zeta requires alpha > 1")
+    _check_alpha(alpha)
     M = 1000
     head = math.fsum(n ** (-alpha) for n in range(1, M + 1))
     tail = M ** (1.0 - alpha) / (alpha - 1.0)
     tail -= 0.5 * M ** (-alpha)
     tail += alpha / 12.0 * M ** (-alpha - 1.0)
-    tail -= alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * M ** (-alpha - 3.0)
+    # Skipped once M^(-alpha-3) underflows: alpha^3 alone overflows near 5e102.
+    last = M ** (-alpha - 3.0)
+    if last:
+        tail -= alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * last
     return head + tail
 
 
@@ -146,8 +157,7 @@ def fourier_decay_sum(alpha: float, x: float, tol: float = 1e-12) -> float:
     Closed form via the Bernoulli polynomial for even integer alpha; otherwise
     a truncated cosine series with absolute error <= tol.
     """
-    if alpha <= 1.0:
-        raise ValueError("requires alpha > 1")
+    _check_alpha(alpha)
     if tol <= 0.0:
         raise ValueError("requires tol > 0")
     x = x % 1.0
@@ -162,21 +172,28 @@ def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     table[0] = 2 zeta(alpha). For even alpha this is the exact closed form; for
     general alpha the series is folded by residue class, each class summed to
     machine precision (Hurwitz zeta), and one length-N DFT produces all values,
-    so the result is far more accurate than plain truncation can reach.
+    so the result is far more accurate than plain truncation can reach. The
+    fold needs N^alpha within double range: a larger alpha raises ValueError.
     """
-    if alpha <= 1.0:
-        raise ValueError("requires alpha > 1")
+    _check_alpha(alpha)
     if _is_even_int(alpha):
         a = np.arange(N) / N
         table = _decay_closed_form(int(alpha), a)
         table[1:] = 0.5 * (table[1:] + table[1:][::-1])
         return table
+    # latgen's one use of scipy, imported here and not at start-up (see above)
+    from scipy.special import zeta as hurwitz_zeta
+
     # S[res] = sum over positive m congruent to res mod N of m^-alpha
     res = np.arange(N, dtype=float)
     S = np.empty(N)
-    S[0] = zeta(alpha)
-    S[1:] = _hurwitz_zeta(alpha, res[1:] / N)
-    S *= float(N) ** (-alpha)
+    S[0] = zeta0 = zeta(alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S[1:] = hurwitz_zeta(alpha, res[1:] / N)
+        S *= float(N) ** (-alpha)
+    if not np.isfinite(S).all():
+        raise ValueError("the decay table for alpha = %r at N = %d overflows double "
+                         "precision" % (alpha, N))
     table = 2.0 * cosine_dft(S)
-    table[0] = 2.0 * zeta(alpha)
+    table[0] = 2.0 * zeta0
     return table

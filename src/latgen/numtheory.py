@@ -31,6 +31,7 @@ __all__ = [
     "GeneratingVector",
     "lattice_points",
     "MODULUS_LIMIT",
+    "check_modulus",
     "UnitLayout",
     "UnitColumns",
     "unit_layout",
@@ -40,6 +41,13 @@ __all__ = [
 #: built: the index products k * z < N^2 must stay exact in int64, and one
 #: table of N doubles would already take 16 GiB.
 MODULUS_LIMIT = 1 << 31
+
+
+def check_modulus(N: int):
+    """Refuse a modulus too large for any table before one is allocated."""
+    if N >= MODULUS_LIMIT:
+        raise ValueError("N = %d is too large: need N < 2^31" % N)
+
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (covers the full 64-bit range and then some).

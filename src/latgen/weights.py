@@ -4,6 +4,7 @@ ProductWeights is the fast path used by every construction; GeneralWeights is
 the explicit per-subset table used by the test oracles. The decay function
 r_{alpha,gamma} lives here as well, and so does subset_product_sum, the one
 weighted sum over subsets of coordinates behind every quality evaluator.
+parse_weight_spec reads the weight grammar of the CLI and the sweeps.
 """
 
 import math
@@ -17,6 +18,7 @@ __all__ = [
     "ProductWeights",
     "GeneralWeights",
     "WeightSpec",
+    "parse_weight_spec",
     "weight_of",
     "r_alpha_gamma",
     "power_weights",
@@ -108,8 +110,8 @@ def r_alpha_gamma(m: Sequence[int], alpha: float, w: Weights) -> float:
 
 def power_weights(w: ProductWeights, alpha: float) -> ProductWeights:
     """Per-coordinate gamma_j^alpha (consistent with gamma_u^alpha for products)."""
-    if alpha <= 0.0:
-        raise ValueError("requires alpha > 0")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("requires finite alpha > 0, got alpha = %r" % (alpha,))
     return ProductWeights(tuple(g**alpha for g in w.gammas))
 
 
@@ -161,9 +163,9 @@ def subset_product_sum(w: Weights, columns, counts=None) -> float:
 class WeightSpec:
     """A resolvable description of a weight family.
 
-    kind is one of "product-list", "product-formula", "general-table". The
-    CLI parses its weight grammar into one of these; the math core only ever
-    sees resolved numbers.
+    kind is one of "product-list", "product-formula", "general-table".
+    parse_weight_spec reads the CLI's weight grammar into one of these; the
+    math core only ever sees resolved numbers.
     """
 
     kind: str
@@ -192,3 +194,30 @@ class WeightSpec:
             table.setdefault(frozenset(), 1.0)
             return GeneralWeights(s, table)
         raise ValueError("unknown weight spec kind %r" % self.kind)
+
+
+def parse_weight_spec(text: str) -> WeightSpec:
+    """Grammar: product:1/j^2 | product:1/j^3 | product:c^j:<c> |
+    product:list:<path> | general:<path>."""
+    if text in ("product:1/j^2", "product:1/j^3"):
+        return WeightSpec(kind="product-formula", formula=text.split(":", 1)[1])
+    if text.startswith("product:c^j:"):
+        return WeightSpec(kind="product-formula", formula="c^j",
+                          c=float(text.rsplit(":", 1)[1]))
+    if text.startswith("product:list:"):
+        path = text.split(":", 2)[2]
+        with open(path) as fh:
+            gammas = tuple(float(ln) for ln in fh if ln.strip())
+        return WeightSpec(kind="product-list", gammas=gammas)
+    if text.startswith("general:"):
+        path = text.split(":", 1)[1]
+        table = []
+        with open(path) as fh:
+            for ln in fh:
+                if not ln.strip():
+                    continue
+                subset_str, gamma_str = ln.split()
+                u = frozenset(int(c) for c in subset_str.split(","))
+                table.append((u, float(gamma_str)))
+        return WeightSpec(kind="general-table", table=tuple(table))
+    raise ValueError("unrecognized weight spec %r" % (text,))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -7,19 +8,18 @@ import sys
 
 import pytest
 
+import latgen
 from latgen.cbc import construct_korobov_cbc
 from latgen.cli import (
-    CSV_HEADER,
     VECTOR_MAGIC,
-    fmt,
     main,
     parse_weight_spec,
     read_vector,
-    sweep_row,
     write_vector,
 )
 from latgen.error import wce_product
 from latgen.numtheory import GeneratingVector
+from latgen.sweep import CSV_HEADER, fmt, sweep_row
 from latgen.weights import GeneralWeights, ProductWeights, power_weights
 
 W10 = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
@@ -210,6 +210,83 @@ def test_sweep_row_powers_weights_consistently():
     expect = wce_product(v, 2.0, power_weights(W10, 2.0))
     assert row["wce"] == pytest.approx(expect, rel=1e-12)
     assert row["algorithm"] == "korobov-cbc"
+
+
+def test_cold_paths_never_import_scipy(tmp_path):
+    """scipy (0.3 s of import) is loaded only by a Hurwitz-zeta decay table,
+    that is, a worst-case error at alpha outside {2, 4, 6, 8}."""
+    script = r"""
+import sys
+from latgen.cli import main
+
+d = sys.argv[1]
+w = ["--weights", "product:1/j^2"]
+runs = [
+    ["construct", "--algo", "cbc-dbd", "--n", "6", "--s", "4", *w, "--out", d + "/v.txt"],
+    ["construct", "--algo", "korobov-cbc", "--N", "61", "--s", "4", *w, "--out", d + "/k.txt"],
+    ["construct", "--algo", "std-cbc", "--N", "61", "--s", "4", "--alpha", "2", *w,
+     "--out", d + "/s.txt"],
+    ["error", "--vector", d + "/v.txt", "--alpha", "2", *w, "--with-T", "--with-bounds",
+     "--format", "json"],
+    ["points", "--vector", d + "/v.txt", "--limit", "4"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert main(["error", "--vector", d + "/v.txt", "--alpha", "2.5", *w]) == 0
+assert "scipy" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latgen.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def test_library_does_not_import_the_cli():
+    pkg = os.path.dirname(os.path.abspath(latgen.__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py") and name != "cli.py":
+            tree = ast.parse(open(os.path.join(pkg, name)).read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    mod = node.module or ""
+                    targets = [mod] + ["%s.%s" % (mod, a.name) for a in node.names]
+                elif isinstance(node, ast.Import):
+                    targets = [a.name for a in node.names]
+                else:
+                    continue
+                assert all(t.split(".")[-1] != "cli" for t in targets), (name, targets)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["error", "--alpha", "nan"],
+    ["error", "--alpha", "inf"],
+    ["error", "--alpha", "1e308"],
+    ["error", "--alpha", "300"],
+    ["construct", "--algo", "std-cbc", "--N", "61", "--s", "3", "--alpha", "nan"],
+    ["construct", "--algo", "std-cbc", "--N", "61", "--s", "3", "--alpha", "inf"],
+    ["sweep", "--algo", "cbc-dbd", "--alpha-list", "nan", "--s", "3", "--n-range", "4..5"],
+    ["sweep", "--algo", "cbc-dbd", "--alpha-list", "inf", "--s", "3", "--n-range", "4..5"],
+], ids=["error nan", "error inf", "error 1e308", "error 300", "std-cbc nan", "std-cbc inf",
+        "sweep nan", "sweep inf"])
+def test_unusable_alpha_exits_2_with_one_line(tmp_path, capsys, argv):
+    """A non-finite alpha, or one whose decay table overflows at N = 64, ends
+    in one line naming the cause, and no numpy warning on the way."""
+    vec = str(tmp_path / "v.txt")
+    assert main(["construct", "--algo", "cbc-dbd", "--n", "6", "--s", "4",
+                 "--weights", "product:1/j^2", "--out", vec]) == 0
+    argv = argv + ["--weights", "product:1/j^2"]
+    if argv[0] == "error":
+        argv += ["--vector", vec]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "finite alpha" in err or "overflows double precision" in err, err
 
 
 def test_points_output(tmp_path):

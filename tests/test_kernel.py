@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from latgen.kernel import (
     vartheta_truncated,
     zeta,
 )
+from latgen.spectral import cosine_dft
 
 
 def test_omega_values():
@@ -86,6 +88,49 @@ def test_fourier_decay_sum_truncated_vs_closed_form():
         series = fourier_decay_sum(2.0 + 1e-9, x, tol=1e-6)
         closed = fourier_decay_sum(2.0, x)
         assert series == pytest.approx(closed, abs=1e-5)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0])
+@pytest.mark.parametrize("N", [64, 1021, 4096])
+def test_fourier_decay_table_is_the_hurwitz_fold(alpha, N):
+    """The scipy import inside fourier_decay_table computes the same fold as
+    before, bit for bit: S[res] = sum_{m = res mod N} m^-alpha, then one DFT."""
+    from scipy.special import zeta as hurwitz_zeta
+
+    S = np.empty(N)
+    S[0] = zeta(alpha)
+    S[1:] = hurwitz_zeta(alpha, np.arange(1, N, dtype=float) / N)
+    S *= float(N) ** (-alpha)
+    expect = 2.0 * cosine_dft(S)
+    expect[0] = 2.0 * zeta(alpha)
+    tab = fourier_decay_table(alpha, N)
+    assert tab.dtype == expect.dtype and (tab == expect).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_is_refused(alpha):
+    for call in (lambda: zeta(alpha), lambda: fourier_decay_table(alpha, 64),
+                 lambda: fourier_decay_sum(alpha, 0.25)):
+        with pytest.raises(ValueError, match="requires finite alpha > 1"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, N", [(1e308, 64), (300.0, 64), (70.0, 1 << 16)])
+def test_decay_table_beyond_double_range_names_alpha_and_N(alpha, N):
+    """The Hurwitz fold scales by N^-alpha; once N^alpha overflows the table
+    cannot be formed, and the error says so instead of returning NaN."""
+    with pytest.raises(ValueError, match=re.escape("alpha = %r at N = %d" % (alpha, N))):
+        fourier_decay_table(alpha, N)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zeta_of_huge_alpha_is_one():
+    # alpha (alpha + 1) (alpha + 2) overflows; its term is below 1000^-alpha = 0
+    assert zeta(1e300) == 1.0
+    assert zeta(1e308) == 1.0
+    assert zeta(200.0) == 1.0
 
 
 @given(st.floats(min_value=0.001, max_value=0.999))
