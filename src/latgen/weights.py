@@ -37,8 +37,10 @@ class ProductWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        if any(g <= 0.0 for g in self.gammas):
-            raise ValueError("all gamma_j must be positive")
+        for j, g in enumerate(self.gammas, start=1):
+            if not 0.0 < g < math.inf:  # NaN fails both
+                raise ValueError("gamma_%d = %r: all gamma_j must be positive and finite"
+                                 % (j, g))
 
     @property
     def s(self) -> int:
@@ -62,8 +64,9 @@ class GeneralWeights:
         if self.table.get(frozenset(), 1.0) != 1.0:
             raise ValueError("gamma_empty must equal 1")
         for u, g in self.table.items():
-            if u and g <= 0.0:
-                raise ValueError("gamma_u must be positive, got %r for %r" % (g, set(u)))
+            if u and not 0.0 < g < math.inf:
+                raise ValueError("gamma_u must be positive and finite, got %r for %r"
+                                 % (g, set(u)))
 
     @classmethod
     def from_product(cls, w: ProductWeights, s: int = None) -> "GeneralWeights":
@@ -108,11 +111,19 @@ def r_alpha_gamma(m: Sequence[int], alpha: float, w: Weights) -> float:
     return prod / weight_of(supp, w)
 
 
+def _power(g: float, p: float, j: int) -> float:
+    """g**p as gamma_j, or a ValueError if it leaves double range."""
+    try:
+        return g**p
+    except OverflowError:
+        raise ValueError("gamma_%d = %r^%r overflows double range" % (j, g, p)) from None
+
+
 def power_weights(w: ProductWeights, alpha: float) -> ProductWeights:
     """Per-coordinate gamma_j^alpha (consistent with gamma_u^alpha for products)."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("requires finite alpha > 0, got alpha = %r" % (alpha,))
-    return ProductWeights(tuple(g**alpha for g in w.gammas))
+    return ProductWeights(tuple(_power(g, alpha, j) for j, g in enumerate(w.gammas, start=1)))
 
 
 def subset_product_sum(w: Weights, columns, counts=None) -> float:
@@ -181,7 +192,7 @@ class WeightSpec:
             if self.formula == "1/j^3":
                 return ProductWeights(tuple(1.0 / j**3 for j in range(1, s + 1)))
             if self.formula == "c^j":
-                return ProductWeights(tuple(self.c**j for j in range(1, s + 1)))
+                return ProductWeights(tuple(_power(self.c, j, j) for j in range(1, s + 1)))
             raise ValueError("unknown product formula %r" % self.formula)
         if self.kind == "product-list":
             if len(self.gammas) < s:

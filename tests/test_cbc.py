@@ -6,6 +6,7 @@ import pytest
 from latgen.cbc import (
     V_quality,
     _accumulate_product,
+    _cbc_greedy,
     _gather_score,
     _omega_table,
     construct_korobov_cbc,
@@ -14,7 +15,7 @@ from latgen.cbc import (
 )
 from latgen.error import wce_product
 from latgen.kernel import fourier_decay_table, omega
-from latgen.numtheory import GeneratingVector, primitive_root
+from latgen.numtheory import ROW_SPAN, GeneratingVector, primitive_root, unit_layout
 from latgen.weights import GeneralWeights, ProductWeights, power_weights
 
 W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
@@ -84,8 +85,10 @@ def test_rader_scores_rejects_composite():
 
 @pytest.mark.parametrize(
     "N, w, s",
-    [(17, W, 5), (31, W, 5), (61, W, 5), (127, W095, 40), (251, W095, 40)],
-    ids=["17", "31", "61", "127-0.95^j-s40", "251-0.95^j-s40"],
+    [(17, W, 5), (31, W, 5), (61, W, 5), (127, W095, 40), (131, W095, 40), (251, W095, 40),
+     (257, W095, 40)],
+    ids=["17", "31", "61", "127-0.95^j-s40", "131-0.95^j-s40", "251-0.95^j-s40",
+         "257-0.95^j-s40"],
 )
 def test_korobov_fast_equals_naive(N, w, s):
     fast = construct_korobov_cbc(N, s, w, mode="fast")
@@ -93,7 +96,7 @@ def test_korobov_fast_equals_naive(N, w, s):
     assert fast.z == naive.z
 
 
-@pytest.mark.parametrize("N", [8, 16, 31, 32, 64, 128, 512, 1019, 2048])
+@pytest.mark.parametrize("N", [8, 16, 31, 32, 64, 127, 128, 131, 256, 257, 512, 1019, 2048])
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
 def test_standard_fast_equals_naive(N, alpha):
     # beyond N = 128 the transforms are long and q grows under 0.95^j
@@ -105,11 +108,15 @@ def test_standard_fast_equals_naive(N, alpha):
 
 
 @pytest.mark.parametrize(
-    "N, alpha", [(1019, None), (8147, None), (8147, 3.0), (4096, 2.0), (4096, 3.0)]
+    "N, alpha",
+    [(61, None), (127, None), (131, None), (257, None), (1019, None), (8147, None), (8147, 3.0),
+     (256, 2.0), (512, 3.0), (2048, 4.0), (4096, 2.0), (4096, 3.0)],
 )
 def test_plan_scores_within_bound_of_gather(N, alpha):
     """Every candidate's plan score lies within the returned bound of the
-    exact gather sum, along a greedy run under 0.95^j weights."""
+    exact gather sum, along a greedy run under 0.95^j weights. The sizes
+    straddle ROW_SPAN: prime N = 61, 127 (H <= 64) and N = 2^n <= 256 are
+    scored by the row table alone, 131 and 257 by one transform."""
     if alpha is None:
         tab, v = _omega_table(N), construct_korobov_cbc(N, 60, W095)
     else:
@@ -126,8 +133,42 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
             for z in plan.z.tolist()[:50]:
                 assert _gather_score(q, plan.column, z) == q @ tab[k * z % N]
         _accumulate_product(q, plan.column, v.z[d - 1], W095.gamma(d))
-    if alpha is None:
+    if alpha is None and N > 61:  # at N = 61 omega stays below 4.6, q below 1e17
         assert np.max(np.abs(q)) > 1e20
+
+
+@pytest.mark.parametrize("N", [8, 256, 61, 127])
+def test_short_block_plans_call_no_fft(N, monkeypatch):
+    """No block of these N is longer than ROW_SPAN, so the plan scores every
+    candidate by one row-table product and never calls numpy.fft."""
+    assert max(bl.shape[0] for bl in unit_layout(N).blocks) <= ROW_SPAN
+    tab = fourier_decay_table(2.0, N)
+    gammas = power_weights(W095, 2.0).gammas[:12]
+    naive = _cbc_greedy(N, 12, gammas, tab, "naive")
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("numpy.fft was called")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, no_fft)
+    plan = scoring_plan(N, tab)
+    assert not plan.levels
+    plan.scores(np.ones(N - 1))
+    assert _cbc_greedy(N, 12, gammas, tab, "fast") == naive
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["fast", "naive"])
+def test_running_product_overflow_is_reported(mode):
+    """Under gamma_j = 1000^j the running product q leaves double range after
+    component 14; both modes say so instead of returning a vector."""
+    w = ProductWeights(tuple(1e3**j for j in range(1, 31)))
+    msg = "left double range after component 14"
+    with pytest.raises(ValueError, match=msg):
+        construct_korobov_cbc(61, 30, w, mode=mode)
+    with pytest.raises(ValueError, match=msg):
+        construct_standard_cbc(64, 30, 2.0, w, mode=mode)
+    assert construct_korobov_cbc(61, 14, w, mode=mode).s == 14
 
 
 def test_korobov_greedy_is_componentwise_optimal():

@@ -289,6 +289,32 @@ def test_unusable_alpha_exits_2_with_one_line(tmp_path, capsys, argv):
     assert "finite alpha" in err or "overflows double precision" in err, err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, cause", [
+    (["construct", "--algo", "cbc-dbd", "--n", "6", "--s", "3", "--weights", "LIST"],
+     "gamma_1 = nan"),
+    (["error", "--alpha", "2", "--weights", "LIST"], "gamma_1 = nan"),
+    (["construct", "--algo", "std-cbc", "--alpha", "2", "--N", "61", "--s", "100",
+      "--weights", "product:c^j:1e3"], "gamma_52 = 1e+156^2.0 overflows double range"),
+    (["construct", "--algo", "korobov-cbc", "--N", "61", "--s", "100",
+      "--weights", "product:c^j:1e3"], "left double range after component 14"),
+], ids=["construct nan", "error nan", "std-cbc gamma^alpha", "korobov-cbc q"])
+def test_unusable_weights_exit_2_with_one_line(tmp_path, capsys, argv, cause):
+    """A NaN weight, a weight whose alpha-th power overflows, or weights under
+    which the CBC running product leaves double range end in one line naming
+    the cause, and no numpy warning on the way."""
+    vec = str(tmp_path / "v.txt")
+    write_vector(vec, GeneratingVector(64, (1, 27, 13)))
+    weights = tmp_path / "w.txt"
+    weights.write_text("nan\n0.5\n0.25\n")
+    argv = [("product:list:%s" % weights) if a == "LIST" else a for a in argv]
+    argv += ["--vector", vec] if argv[0] == "error" else ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert cause in err, err
+
+
 def test_points_output(tmp_path):
     vec = str(tmp_path / "v.txt")
     write_vector(vec, GeneratingVector(4, (1, 3)))

@@ -46,6 +46,21 @@ def test_general_weights_table():
         GeneralWeights(2, {frozenset(): 2.0})
 
 
+@pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_are_rejected(g):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ProductWeights((0.5, g))
+    with pytest.raises(ValueError, match="positive and finite"):
+        GeneralWeights(2, {frozenset({1}): 0.5, frozenset({2}): g})
+
+
+def test_overflowing_weights_are_rejected():
+    with pytest.raises(ValueError, match="gamma_2 = 1e\\+200\\^2.0 overflows"):
+        power_weights(ProductWeights((0.5, 1e200)), 2.0)
+    with pytest.raises(ValueError, match="gamma_309 = 10.0\\^309 overflows"):
+        WeightSpec("product-formula", formula="c^j", c=10.0).resolve(400)
+
+
 def test_general_from_product_agrees():
     w = ProductWeights((0.5, 0.25, 0.125))
     g = GeneralWeights.from_product(w)
