@@ -8,7 +8,9 @@ the machine. Processes that import at the same time each compile to a
 temporary name and move the result into place with os.replace, so none of
 them can load a half-written file.
 
-The C kernel holds dbd_construct alone. The numpy implementation in
+The C kernel holds dbd_construct alone; it builds its level tables from the
+log-sine table and returns the components it could build (see
+latgen._slowpath.dbd_construct, its twin). The numpy implementation in
 latgen._slowpath is the fallback: it is used when LATGEN_PURE=1 is set, the
 cache cannot be written, no compiler is found, or the compile fails. BACKEND
 is "c" or "numpy"; BACKEND_REASON says which library was loaded or why the
@@ -101,12 +103,12 @@ def _load():
         lib = ctypes.CDLL(path)
     except OSError as exc:
         raise _Unavailable("cannot load %s: %s" % (path, exc))
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    f64_out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    u64_out = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    lib.dbd_construct.argtypes = [f64_out, f64, ctypes.c_int, ctypes.c_int64, f64,
-                                  ctypes.c_double, f64_out, u64_out]
-    lib.dbd_construct.restype = None
+    # Plain addresses: the wrapper below makes or checks every array it
+    # passes, which is cheaper than ndpointer's checks on each call.
+    lib.dbd_construct.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_double,
+                                  ctypes.c_int64, ctypes.c_void_p, ctypes.c_double,
+                                  ctypes.c_void_p]
+    lib.dbd_construct.restype = ctypes.c_int64
     return lib, path
 
 
@@ -121,11 +123,14 @@ if _lib is None:
     dbd_construct = _slowpath.dbd_construct
 else:
 
-    def dbd_construct(p, ktab, n, gammas, rtol):
-        # The C loops read p[0 .. 2^n - 2] and ktab[0 .. 2^n - 1].
-        if n < 1 or p.shape[0] < (1 << n) - 1 or ktab.shape[0] < (1 << n):
-            raise ValueError("need n >= 1, len(p) >= 2^n - 1 and len(ktab) >= 2^n")
+    def dbd_construct(ktab, n, gamma1, gammas, rtol):
+        ktab = np.ascontiguousarray(ktab, dtype=np.float64)
+        if n < 2 or ktab.shape != (1 << n,):
+            raise ValueError("need n >= 2 and len(ktab) == 2^n")
         g = np.ascontiguousarray(gammas, dtype=np.float64)
         z = np.empty(g.shape[0], dtype=np.uint64)
-        _lib.dbd_construct(p, ktab, n, g.shape[0], g, rtol, np.empty(1 << n), z)
-        return z.tolist()
+        done = _lib.dbd_construct(ktab.ctypes.data, n, gamma1, g.shape[0], g.ctypes.data,
+                                  rtol, z.ctypes.data)
+        if done < 0:
+            raise MemoryError("the CBC-DBD kernel could not allocate its tables for n = %d" % n)
+        return z[:done].tolist()

@@ -1,14 +1,26 @@
 """Pure-numpy CBC-DBD loops.
 
 dbd_construct is the numpy twin of the C kernel in _dbd.c, and
-latgen._kernels picks one of the two at import time. dbd_score_pair and
-dbd_update are the per-level walk that cbc_dbd.h_bar and update_p use on
-both backends; they are the reference the per-component fold is tested
+latgen._kernels picks one of the two at import time. Both keep the state on
+the unit layout of N = 2^n (numtheory.unit_layout): the odd residues mod 2^t
+are +-5^i, i < L_t = 2^(t-2), and level t = 2..n holds one slot per +- pair,
+q[t-2][i] = q(r-1, t, 5^i mod 2^t). The kernel table is exactly symmetric, so
+q(t, k) == q(t, -k) bit for bit and N/2 - 1 slots hold the whole state.
+Every fold, score and update then reads contiguous slices (see dbd_fold and
+dbd_construct).
+
+dbd_score_pair and dbd_update are the per-level walk over the interleaved
+layout p[k * 2^(n-t) - 1] = q(r-1, t, k) that cbc_dbd.h_bar and update_p use
+on both backends; they are the per-bit reference the construction is tested
 against. Every kernel table here is kernel.kernel_table(2^n), indexed by
 residue.
 """
 
+import math
+
 import numpy as np
+
+from .numtheory import unit_layout
 
 
 def dbd_score_pair(p, ktab, n, v, x0, gamma):
@@ -42,46 +54,79 @@ def dbd_update(p, ktab, n, v, z, gamma):
     p[(k << (n - v)) - 1] *= 1.0 + gamma * ktab[idx]
 
 
-def dbd_fold(p, n, P):
-    """Level sums P_v[k] = sum_{t=v..n} 2^(v-t) sum_{odd j < 2^t, j = k mod 2^v}
-    q(t, j) of the state p, for odd k < 2^v, v = 2..n, into P[2^(v-1) + (k-1)/2]
-    (P has 2^n entries), folded down from v = n by
-    P_v[k] = q(v, k) + (P_{v+1}[k] + P_{v+1}[k + 2^v]) / 2.
+def level_tables(ktab, n):
+    """The residues and kernel values of levels v = 2..n, at index v - 2.
 
-    The level-v score of a candidate x is then
-    sum_k P_v[k] * (1 + gamma * ktab[(k x mod 2^v) * 2^(n-v)]), the value
-    dbd_score_pair returns, for as long as only slots of levels below v change.
+    res[v-2][i] = (5^i mod 2^v) 2^(n-v) for i < 2^(v-2), the block n - v of
+    unit_layout(2^n) (level 2 is its fixed slot N/4), and K[v-2] is ktab at
+    those residues, stored twice in a row: the values that a unit
+    x = +-5^c mod 2^v meets on the level's slots are K[v-2][c : c + 2^(v-2)].
     """
-    for v in range(n, 1, -1):
-        half = 1 << (v - 1)
-        q = p[(1 << (n - v)) - 1 : (1 << n) - 1 : 1 << (n - v + 1)]
-        if v == n:
-            P[half : 2 * half] = q
-        else:
-            P[half : 2 * half] = q + 0.5 * (P[2 * half : 3 * half] + P[3 * half : 4 * half])
+    lay = unit_layout(1 << n)
+    res = [lay.fixed[2:]] + [lay.blocks[n - v] for v in range(3, n + 1)]
+    return res, [np.tile(ktab[r], 2) for r in res]
 
 
-def dbd_construct(p, ktab, n, gammas, rtol):
-    """Components for the weights gammas, built on the state p (updated in
-    place). Each component folds p once (dbd_fold) and then picks its bits
-    from level 2 up. With s0 the score of bit 0 and dd the score difference
-    of bit 1 minus bit 0, summed term by term, the level-v bit is set only if
-    gamma * dd < -rtol * |s0|."""
-    P = np.empty(1 << n)
-    odd = np.arange(1, 1 << n, 2, dtype=np.int64)
+def dbd_fold(q, P):
+    """Level sums of the state q (list of levels v = 2..n) into P, in place:
+    P[v-2][i] = sum_{t=v..n} 2^(v-t) sum_{odd j < 2^t, j = k mod 2^v} q(t, j)
+    at k = 5^i mod 2^v (the same at -k), folded down from P_n = q_n (the same
+    array) by
+    P_v[i] = q_v[i] + (P_{v+1}[i] + P_{v+1}[i + L_v]) / 2: since
+    5^(L_v) = 1 + 2^v mod 2^(v+1), slots i and i + L_v of level v + 1 are the
+    two lifts of slot i. These are the operands of the fold over all odd
+    residues, so the sums are the same doubles.
+
+    The level-v score of a candidate x = +-5^c mod 2^v is then
+    sum_i P_v[i] * (1 + gamma * K_v[c + i]), half of what dbd_score_pair
+    returns, for as long as only slots of levels below v change.
+    """
+    P[-1] = q[-1]
+    for v in range(len(q) - 1, 0, -1):
+        Pw = P[v]
+        L = Pw.shape[0] // 2
+        P[v - 1] = q[v - 1] + 0.5 * (Pw[:L] + Pw[L:])
+
+
+def dbd_construct(ktab, n, gamma1, gammas, rtol):
+    """Components for the weights gammas, after the first component 1 with
+    weight gamma1; ktab is the log-sine table of modulus 2^n, n >= 2.
+
+    Each component folds the state once (dbd_fold) and then picks its bits
+    from level 2 up. The level-2 candidates 1 and 3 = -1 tie exactly, so
+    z = 1 mod 4 and every bit-0 candidate is a power of 5: zr = 5^c mod
+    2^(v-1) is 5^c or 5^(c + L_v/2) mod 2^v, which one residue tells, and
+    its other bit zr + 2^(v-1) is the other one. With s0 the score of bit 0
+    and dd the score difference of bit 1 minus bit 0, summed term by term,
+    the level-v bit is set only if gamma * dd < -rtol * |s0|; halving every
+    score for one slot per +- pair does not change that test. Returns the
+    components built: all of them, or those before the first whose s0 or dd
+    is not finite.
+    """
+    res, K = level_tables(ktab, n)
+    q = [1.0 + gamma1 * Kv[: Kv.shape[0] // 2] for Kv in K]
+    P = [None] * len(q)
     z = []
-    for gamma in gammas:
-        dbd_fold(p, n, P)
-        zr = 1
-        for v in range(2, n + 1):
-            half = 1 << (v - 1)
-            Pv = P[half : 2 * half]
-            a = (odd[:half] * zr) & (2 * half - 1)
-            k0 = ktab[a << (n - v)]
-            k1 = ktab[(a ^ half) << (n - v)]
-            s0 = float(Pv.sum()) + gamma * float(Pv @ k0)
-            if gamma * float(Pv @ (k1 - k0)) < -rtol * abs(s0):
-                zr += half
-            dbd_update(p, ktab, n, v, zr, gamma)
-        z.append(zr)
+    # a state that leaves double range is reported by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gamma in gammas:
+            dbd_fold(q, P)
+            zr, c = 1, 0  # z = 1 = 5^0 mod 4: the level-2 bit always stays 0
+            for v in range(2, n + 1):
+                L = 1 << (v - 2)
+                h = L >> 1
+                Kv, Pv = K[v - 2], P[v - 2]
+                if int(res[v - 2][c]) >> (n - v) != zr:
+                    c += h
+                c1 = c + h if c < h else c - h
+                k0 = Kv[c : c + L]
+                s0 = float(Pv.sum()) + gamma * float(Pv @ k0)
+                dd = float(Pv @ (Kv[c1 : c1 + L] - k0))
+                if not (math.isfinite(s0) and math.isfinite(dd)):
+                    return z
+                if gamma * dd < -rtol * abs(s0):
+                    zr += 2 * L
+                    c = c1
+                q[v - 2] *= 1.0 + gamma * Kv[c : c + L]
+            z.append(zr)
     return z

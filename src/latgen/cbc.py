@@ -60,6 +60,23 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+#: Below this, a @ a may have lost terms to underflow.
+_TINY = 2.0**-900
+
+
+def _norm(a: np.ndarray) -> float:
+    """||a||_2, also where a @ a leaves double range: a is then scaled by a
+    power of two, which is exact, so every norm that a @ a gives as it is
+    comes out the same."""
+    ss = float(a @ a)
+    if _TINY < ss < math.inf:
+        return math.sqrt(ss)
+    top = float(np.abs(a).max(initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return math.sqrt(ss)
+    e = math.frexp(top)[1]
+    b = np.ldexp(a, -e)
+    return math.ldexp(math.sqrt(float(b @ b)), e)
 
 
 def _omega_table(N: int) -> np.ndarray:
@@ -149,7 +166,7 @@ class ScoringPlan:
                     spec = term
                 else:
                     spec[:: lv.step] += term
-                weight += math.sqrt(a @ a) * lv.kernel_norm
+                weight += _norm(a) * lv.kernel_norm
             sc = np.fft.irfft(spec, self.size)[self.offset : self.offset + self.z.shape[0]]
             # Per transform, each entry of irfft(rfft(a) * rfft(b)) is within
             # log2(size) * eta * ||a||_2 * ||b||_2 of exact (Cauchy-Schwarz on
@@ -171,7 +188,7 @@ class ScoringPlan:
             # score leave each entry within gamma_(m+2) sum_i |r_i f_i| of
             # exact, and gamma_(m+2) <= (m + 1) eps; Cauchy-Schwarz caps the
             # sum by ||rows[b]||_2 ||f[short:]||_2.
-            bound += (m + 1) * _EPS * math.sqrt(fs @ fs) * self.row_norm
+            bound += (m + 1) * _EPS * _norm(fs) * self.row_norm
         return sc, bound
 
 

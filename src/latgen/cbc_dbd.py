@@ -2,13 +2,20 @@
 
 Each component z_r is built one bit at a time, least significant bit first.
 The bit at level v is chosen to minimize the reduced digit-wise quality
-h_bar over the running product vector p. The construction folds p into
-per-level sums once per component, in O(N), after which one bit costs
-O(2^(v-1)), so a component costs O(N) and the whole vector O(s N). h_bar
-itself walks p directly, in O(sum_t 2^(t-1)) per candidate, and serves as the
-fold's reference. The full (general-weight) quality function h differs from
-h_bar only by the additive constant C(n, v), so both greedy paths agree; the
-slow subset-sum evaluation h_naive is kept as a differential oracle.
+h_bar over the running products q(t, k), odd k < 2^t. construct_cbc_dbd keeps
+them on the unit layout of N (numtheory.unit_layout): level t holds one slot
+per +- pair of residues, in the order 5^i mod 2^t, so a candidate unit
++-5^c only rotates the level's kernel values. Once per component, in O(N),
+the slots are folded into per-level sums, after which one bit costs
+O(2^(v-2)) contiguous reads, so a component costs O(N) and the whole vector
+O(s N) (latgen._slowpath has the details, _dbd.c the compiled twin).
+
+DigitState, h_bar and update_p are the per-bit reference: they keep the
+interleaved layout p[k * 2^(n-t) - 1], and h_bar walks p directly, in
+O(sum_t 2^(t-1)) per candidate. The full (general-weight) quality function h
+differs from h_bar only by the additive constant C(n, v), so both greedy
+paths agree; the slow subset-sum evaluation h_naive is kept as a
+differential oracle.
 """
 
 import math
@@ -44,9 +51,11 @@ H_NAIVE_MAX_R = 12
 #: by rounding, which differs between the C kernel and numpy. The margin is
 #: compared with the score difference summed term by term, not with the
 #: difference of two rounded scores, so the rounding of two large scores no
-#: longer decides. Rounding in that difference still can (the C kernel sums in
-#: order, numpy's dot product in its BLAS's order), but only for margins within
-#: about eps * sum_k |P_v[k] (K1 - K0)| of the threshold.
+#: longer decides. Rounding in that difference still can (the C kernel sums
+#: in slot order, numpy's dot product in its BLAS's order, which for the up
+#: to N/4 slots of a level may split the sum over threads), but only for
+#: margins within about eps * sum_i |P_v[i] (K1 - K0)| of the threshold.
+#: Scoring one slot per +- pair halves both sides of the comparison.
 TIE_RTOL = 1e-12
 
 
@@ -120,6 +129,7 @@ def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
     pass over the level sums. Bit 0 is kept unless bit 1 scores lower by more
     than TIE_RTOL * |s0|, with s0 the score of bit 0, so a tie goes to bit 0
     on every backend unless the rounding in the difference reaches that margin.
+    A score that leaves double range raises a ValueError naming the component.
     """
     if n < 1 or s < 1:
         raise ValueError("need n >= 1 and s >= 1")
@@ -127,9 +137,13 @@ def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
         raise ValueError("weight sequence shorter than requested dimension")
     z = [1] * s
     if s >= 2 and n >= 2:
-        state = new_digit_state(n, w)
-        gammas = [w.gamma(r) for r in range(2, s + 1)]
-        z[1:] = _kernels.dbd_construct(state.p, state.table, n, gammas, TIE_RTOL)
+        built = _kernels.dbd_construct(kernel_table(1 << n), n, w.gammas[0], w.gammas[1:s],
+                                       TIE_RTOL)
+        if len(built) < s - 1:
+            raise ValueError(
+                "the CBC-DBD scores for z_%d left double range: the weights are too large"
+                % (len(built) + 2))
+        z[1:] = built
     return GeneratingVector(1 << n, tuple(z))
 
 

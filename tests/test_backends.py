@@ -32,23 +32,35 @@ def _random_state(n, seed):
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_dbd_score_pair_backends_agree(n):
-    """The level sums folded once at the start of a component give the walk's
-    score pair at every level, while the levels below are updated."""
-    p, ktab = _random_state(n, n)
+    """The level sums of a +--symmetric state, folded once on the unit layout
+    at the start of a component, give the walk's score pair at every level
+    (each slot stands for a +- pair, so twice their sum), while the levels
+    below are updated; a candidate +-5^c meets the slice of the level's
+    doubled table that starts at c."""
+    rng = np.random.default_rng(n)
+    N = 1 << n
+    ktab = kernel_table(N)
+    res, K = _slowpath.level_tables(ktab, n)
+    q = [rng.uniform(0.5, 2.0, size=r.shape[0]) for r in res]
+    p = np.ones(N - 1)  # the interleaved layout; its level-1 slot is never read
+    for qv, r in zip(q, res):
+        p[r - 1] = qv
+        p[N - r - 1] = qv
     gamma = 0.37
-    P = np.empty(1 << n)
-    _slowpath.dbd_fold(p, n, P)
+    P = [None] * len(q)
+    _slowpath.dbd_fold(q, P)
     zr = 1
     for v in range(2, n + 1):
-        half = 1 << (v - 1)
-        k = np.arange(1, 1 << v, 2)
-        Pv = P[half : 2 * half]
+        half, L = 1 << (v - 1), 1 << (v - 2)
+        units = (res[v - 2] >> (n - v)).tolist()  # 5^i mod 2^v
+        Pv = P[v - 2]
         for x0 in range(1, half, 2):
-            pair = [
-                sum(Pv[i] * (1.0 + gamma * ktab[(int(k[i]) * x % (1 << v)) << (n - v)])
-                    for i in range(half))
-                for x in (x0, x0 + half)
-            ]
+            pair = []
+            for x in (x0, x0 + half):
+                col = [ktab[(k * x % (1 << v)) << (n - v)] for k in units]
+                c = next(c for c, u in enumerate(units) if u in (x, (1 << v) - x))
+                assert np.array_equal(K[v - 2][c : c + L], col)
+                pair.append(2 * sum(Pv[i] * (1.0 + gamma * col[i]) for i in range(L)))
             walk = _slowpath.dbd_score_pair(p, ktab, n, v, x0, gamma)
             assert walk == pytest.approx(pair, rel=1e-12)
         zr += half * (v % 2)  # any bits will do; the fold must not see them
@@ -99,18 +111,20 @@ def test_pure_env_forces_numpy_backend():
 
 # The weight families of test_acceptance.py, n = 2..12 at s = 100: exact
 # score ties are common on this grid, so the vectors agree only if every
-# backend breaks ties the same way. The c^j cells after it are near-ties at
-# TIE_RTOL, where a score comparison of two rounded sums split the backends.
+# backend breaks ties the same way. At n = 14 and 16 the numpy score dots run
+# over up to N/4 terms, long enough for BLAS to pick its own summation order.
+# The c^j cells after them are near-ties at TIE_RTOL, where a score
+# comparison of two rounded sums split the backends.
 GRID_CODE = (
     "import latgen\n"
     "from latgen.cbc_dbd import construct_cbc_dbd\n"
     "from latgen.cbc import construct_korobov_cbc\n"
     "from latgen.weights import ProductWeights\n"
     "print(latgen.BACKEND)\n"
-    "for make in (lambda j: 1.0/j**2, lambda j: 1.0/j**3,\n"
-    "             lambda j: 0.95**j, lambda j: 0.7**j):\n"
+    "for make, large in ((lambda j: 1.0/j**2, (14, 16)), (lambda j: 1.0/j**3, ()),\n"
+    "                    (lambda j: 0.95**j, ()), (lambda j: 0.7**j, (14, 16))):\n"
     "    w = ProductWeights(tuple(make(j) for j in range(1, 101)))\n"
-    "    for n in range(2, 13):\n"
+    "    for n in (*range(2, 13), *large):\n"
     "        print(n, construct_cbc_dbd(n, 100, w).z)\n"
     "for n, c in ((10, 0.518), (12, 0.632), (12, 0.694), (12, 0.71), (12, 0.722)):\n"
     "    w = ProductWeights(tuple(c**j for j in range(1, 101)))\n"
@@ -127,7 +141,7 @@ def test_constructions_identical_across_backends():
     # runs under LATGEN_PURE=1, the C kernel.
     forced = latgen.BACKEND_REASON.startswith("forced by LATGEN_PURE")
     assert compiled[0] == ("c" if forced else latgen.BACKEND) and pure[0] == "numpy"
-    assert len(compiled) == 4 * 11 + 5 + 2
+    assert len(compiled) == 4 * 11 + 2 * 2 + 5 + 2
     assert compiled[1:] == pure[1:]
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latgen import cbc
 from latgen.cbc import (
     V_quality,
     _accumulate_product,
@@ -169,6 +170,23 @@ def test_running_product_overflow_is_reported(mode):
     with pytest.raises(ValueError, match=msg):
         construct_standard_cbc(64, 30, 2.0, w, mode=mode)
     assert construct_korobov_cbc(61, 14, w, mode=mode).s == 14
+
+
+def test_bound_stays_finite_for_large_running_products(monkeypatch):
+    """Under gamma_j = 3^j, max|q| passes 1e154 and q @ q overflows; the
+    bound's norms are scaled instead, so no component rescores every
+    candidate, and the vector is still the naive mode's."""
+    w = ProductWeights(tuple(3.0**j for j in range(1, 35)))
+    naive = construct_korobov_cbc(509, 34, w, mode="naive")
+    calls = []
+
+    def counting(q, column, z):
+        calls.append(z)
+        return _gather_score(q, column, z)
+
+    monkeypatch.setattr(cbc, "_gather_score", counting)
+    assert construct_korobov_cbc(509, 34, w) == naive
+    assert len(calls) < 34, len(calls)  # an infinite bound rescores all 254 candidates
 
 
 def test_korobov_greedy_is_componentwise_optimal():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latgen import _kernels, _slowpath
 from latgen.cbc_dbd import (
     TIE_RTOL,
     C_constant,
@@ -187,3 +188,20 @@ def test_H_quantity_direct_sum():
 def test_H_quantity_rejects_non_pow2():
     with pytest.raises(ValueError):
         H_quantity(GeneratingVector(7, (1,)), ProductWeights((1.0,)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_scores_leaving_double_range_are_reported():
+    """Under gamma_j = 1000^j the level scores of component 14 are not finite:
+    both backends stop there, and the construction names the component
+    instead of returning a vector of ones."""
+    n = 10
+    gammas = [1e3**j for j in range(1, 101)]
+    ktab = kernel_table(1 << n)
+    built = _kernels.dbd_construct(ktab, n, gammas[0], gammas[1:], TIE_RTOL)
+    assert len(built) == 12
+    assert _slowpath.dbd_construct(ktab, n, gammas[0], gammas[1:], TIE_RTOL) == built
+    w = ProductWeights(tuple(gammas))
+    with pytest.raises(ValueError, match="scores for z_14 left double range"):
+        construct_cbc_dbd(n, 100, w)
+    assert construct_cbc_dbd(n, 13, w).z[1:] == tuple(built)

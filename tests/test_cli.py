@@ -298,7 +298,9 @@ def test_unusable_alpha_exits_2_with_one_line(tmp_path, capsys, argv):
       "--weights", "product:c^j:1e3"], "gamma_52 = 1e+156^2.0 overflows double range"),
     (["construct", "--algo", "korobov-cbc", "--N", "61", "--s", "100",
       "--weights", "product:c^j:1e3"], "left double range after component 14"),
-], ids=["construct nan", "error nan", "std-cbc gamma^alpha", "korobov-cbc q"])
+    (["construct", "--algo", "cbc-dbd", "--n", "10", "--s", "100",
+      "--weights", "product:c^j:1e3"], "scores for z_14 left double range"),
+], ids=["construct nan", "error nan", "std-cbc gamma^alpha", "korobov-cbc q", "cbc-dbd scores"])
 def test_unusable_weights_exit_2_with_one_line(tmp_path, capsys, argv, cause):
     """A NaN weight, a weight whose alpha-th power overflows, or weights under
     which the CBC running product leaves double range end in one line naming
