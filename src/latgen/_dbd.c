@@ -1,12 +1,15 @@
-/* CBC-DBD construction for N = 2^n on the unit layout; latgen._slowpath
- * holds the numpy twin and its docstrings.
+/* The compiled kernels of latgen: the CBC-DBD construction for N = 2^n on
+ * the unit layout (dbd_construct) and the product-weight lattice sum over
+ * columns that are slices of one table (product_sum). latgen._slowpath holds
+ * the numpy twin of each and its docstrings.
  *
- * The odd residues mod 2^t are +-5^i, i < L_t = 2^(t-2). Level t = 2..n of
- * the state holds one slot per +- pair, q[L_t - 1 + i] = q(r-1, t, 5^i mod 2^t):
- * the kernel table is exactly symmetric, so q(t, k) == q(t, -k) bit for bit
- * and N/2 - 1 slots hold all of it. K[2 (L_t - 1) + i] is the log-sine table
- * at the residue (5^i mod 2^t) 2^(n-t), stored twice in a row, so that the
- * values a unit +-5^c meets are the slice starting at c.
+ * dbd_construct: the odd residues mod 2^t are +-5^i, i < L_t = 2^(t-2). Level
+ * t = 2..n of the state holds one slot per +- pair, q[L_t - 1 + i] =
+ * q(r-1, t, 5^i mod 2^t): the kernel table is exactly symmetric, so
+ * q(t, k) == q(t, -k) bit for bit and N/2 - 1 slots hold all of it.
+ * K[2 (L_t - 1) + i] is the log-sine table at the residue
+ * (5^i mod 2^t) 2^(n-t), stored twice in a row, so that the values a unit
+ * +-5^c meets are the slice starting at c.
  *
  * At the start of each component the slots are folded into the level sums
  *   P_v[i] = sum_{t=v..n} 2^(v-t) sum_{odd j < 2^t, j = k mod 2^v} q(t, j)
@@ -19,6 +22,15 @@
  * only the level-v slots, which the later levels of the same component never
  * read, so one fold per component serves every level: O(N) per component,
  * O(s N) in all, and every read a contiguous slice.
+ *
+ * product_sum: every product-weight lattice sum (e, T, T_alpha, H, V and the
+ * theorem bounds) is sum_i counts[i] d[i] with d[i] = prod_j (1 + gamma_j
+ * col_j[i]) - 1, and on the unit layout each column is a few slices of one
+ * buffer (numtheory.UnitColumns). The slots are walked in chunks of CHUNK
+ * values, and each chunk runs through all s columns before the next one
+ * starts, so d stays in L1 while the columns stream past. Per value the
+ * operations are those of the numpy twin, in its order: d = gamma_1 t, then
+ * x = gamma_j t and d = d + x (1 + d), so d is the same doubles.
  *
  * Compiled on first import by latgen._kernels and loaded with ctypes. Build
  * with -ffp-contract=off so every product and sum is rounded as written.
@@ -101,4 +113,38 @@ out:
     free(q);
     free(R);
     return done;
+}
+
+/* A chunk of d: 512 doubles, 4 KiB, well inside L1 beside the column slices
+ * streaming past it. */
+#define CHUNK 512
+
+/* d[i] = prod_j (1 + gammas[j] col_j[i]) - 1 for j = 0..s-1, s >= 1, over
+ * the slots of m segments laid end to end in d: segment k is lengths[k] long,
+ * and column j's values there are buf[offsets[j m + k] ...]. The product is
+ * accumulated as prod - 1, d' = d + x (1 + d) with x = gammas[j] col_j[i],
+ * so values far below machine epsilon keep full relative precision. */
+void product_sum(const double *buf, int64_t m, const int64_t *lengths, int64_t s,
+                 const int64_t *offsets, const double *gammas, double *d)
+{
+    for (int64_t k = 0; k < m; k++) {
+        int64_t L = lengths[k];
+        for (int64_t c = 0; c < L; c += CHUNK) {
+            int64_t len = L - c < CHUNK ? L - c : CHUNK;
+            double *restrict dc = d + c;
+            const double *restrict t = buf + offsets[k] + c;
+            double g = gammas[0];
+            for (int64_t i = 0; i < len; i++)
+                dc[i] = g * t[i];
+            for (int64_t j = 1; j < s; j++) {
+                const double *restrict tj = buf + offsets[j * m + k] + c;
+                g = gammas[j];
+                for (int64_t i = 0; i < len; i++) {
+                    double x = g * tj[i];
+                    dc[i] = dc[i] + x * (1.0 + dc[i]);
+                }
+            }
+        }
+        d += L;
+    }
 }

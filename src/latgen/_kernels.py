@@ -1,21 +1,26 @@
-"""Backend selection for the CBC-DBD construction, dbd_construct.
+"""Backend selection for the compiled kernels, dbd_construct and product_sum.
 
-The C kernel in _dbd.c is compiled with the system C compiler (the first of
-cc, gcc, clang on PATH) the first time this module is imported, and loaded
-with ctypes. The shared library is cached in $XDG_CACHE_HOME/latgen (default
-~/.cache/latgen) under a name keyed by a hash of the source, the flags and
-the machine. Processes that import at the same time each compile to a
-temporary name and move the result into place with os.replace, so none of
-them can load a half-written file.
+The C kernels in _dbd.c are compiled with the system C compiler (the first
+of cc, gcc, clang on PATH) the first time this module is imported, and
+loaded with ctypes. The shared library is cached in $XDG_CACHE_HOME/latgen
+(default ~/.cache/latgen) under a name keyed by a hash of the source, the
+flags and the machine. Processes that import at the same time each compile
+to a temporary name and move the result into place with os.replace, so none
+of them can load a half-written file.
 
-The C kernel holds dbd_construct alone; it builds its level tables from the
-log-sine table and returns the components it could build (see
-latgen._slowpath.dbd_construct, its twin). The numpy implementation in
-latgen._slowpath is the fallback: it is used when LATGEN_PURE=1 is set, the
-cache cannot be written, no compiler is found, or the compile fails. BACKEND
-is "c" or "numpy"; BACKEND_REASON says which library was loaded or why the
-fallback was chosen. Nothing else is chosen here: the per-level walk that
-cbc_dbd.h_bar and update_p use comes straight from latgen._slowpath.
+The library holds two functions. dbd_construct builds the CBC-DBD
+components from the log-sine table and returns those it could build (see
+latgen._slowpath.dbd_construct, its twin). product_sum computes the
+per-slot values prod_j (1 + gamma_j col_j) - 1 of a product-weight lattice
+sum whose columns are slices of one buffer (numtheory.ColumnSlices), the
+product branch of weights.subset_product_sum (see
+latgen._slowpath.product_sum). The numpy implementations in
+latgen._slowpath are the fallback: they are used when LATGEN_PURE=1 is set,
+the cache cannot be written, no compiler is found, or the compile fails.
+Both give the same doubles. BACKEND is "c" or "numpy"; BACKEND_REASON says
+which library was loaded or why the fallback was chosen. Nothing else is
+chosen here: the per-level walk that cbc_dbd.h_bar and update_p use comes
+straight from latgen._slowpath.
 """
 
 import ctypes
@@ -33,7 +38,9 @@ from . import _slowpath
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_dbd.c")
 COMPILERS = ("cc", "gcc", "clang")
 # -ffp-contract=off: no fused multiply-add, so the scores round as written.
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -ftree-vectorize: plain -O2 leaves product_sum's element loops scalar; the
+# vector code rounds every element as the scalar code does.
+FLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class _Unavailable(Exception):
@@ -109,6 +116,10 @@ def _load():
                                   ctypes.c_int64, ctypes.c_void_p, ctypes.c_double,
                                   ctypes.c_void_p]
     lib.dbd_construct.restype = ctypes.c_int64
+    lib.product_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                                ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                                ctypes.c_void_p]
+    lib.product_sum.restype = None
     return lib, path
 
 
@@ -121,6 +132,7 @@ except _Unavailable as exc:
 
 if _lib is None:
     dbd_construct = _slowpath.dbd_construct
+    product_sum = _slowpath.product_sum
 else:
 
     def dbd_construct(ktab, n, gamma1, gammas, rtol):
@@ -134,3 +146,14 @@ else:
         if done < 0:
             raise MemoryError("the CBC-DBD kernel could not allocate its tables for n = %d" % n)
         return z[:done].tolist()
+
+    def product_sum(gammas, cols):
+        g = np.ascontiguousarray(gammas, dtype=np.float64)
+        m = cols.lengths.shape[0]
+        if g.shape != (len(cols),) or not g.shape[0]:
+            raise ValueError("need one gamma per column and at least one column")
+        d = np.empty(cols.size)
+        # cols (numtheory.ColumnSlices) has checked that every slice lies in buf
+        _lib.product_sum(cols.buf.ctypes.data, m, cols.lengths.ctypes.data, g.shape[0],
+                         cols.offsets.ctypes.data, g.ctypes.data, d.ctypes.data)
+        return d

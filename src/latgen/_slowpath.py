@@ -1,7 +1,12 @@
-"""Pure-numpy CBC-DBD loops.
+"""Pure-numpy twins of the C kernels in _dbd.c.
 
-dbd_construct is the numpy twin of the C kernel in _dbd.c, and
-latgen._kernels picks one of the two at import time. Both keep the state on
+latgen._kernels picks the C kernels or these at import time.
+
+product_sum is the twin of the product-weight lattice sum, and
+product_columns its loop over columns given as arrays, which also serves
+the moduli whose columns are gathers (see weights.subset_product_sum).
+
+dbd_construct is the twin of the CBC-DBD construction. Both keep the state on
 the unit layout of N = 2^n (numtheory.unit_layout): the odd residues mod 2^t
 are +-5^i, i < L_t = 2^(t-2), and level t = 2..n holds one slot per +- pair,
 q[t-2][i] = q(r-1, t, 5^i mod 2^t). The kernel table is exactly symmetric, so
@@ -130,3 +135,40 @@ def dbd_construct(ktab, n, gamma1, gammas, rtol):
                 q[v - 2] *= 1.0 + gamma * Kv[c : c + L]
             z.append(zr)
     return z
+
+
+def product_columns(gammas, columns):
+    """d[i] = prod_j (1 + gammas[j] col_j[i]) - 1, or None if columns is empty.
+
+    columns yields, for j = 0, 1, ..., the parts of column j, which laid end
+    to end give its values in slot order. The product is accumulated as
+    prod - 1: d = gammas[0] col_0, then x = gammas[j] col_j and
+    d = d + x (1 + d), the operations of _dbd.c's product_sum in its order,
+    into three buffers allocated once, so the values are the same doubles.
+    """
+    d = x = y = None
+    for j, parts in enumerate(columns):
+        if j >= len(gammas):
+            raise ValueError("more columns than weights: need one gamma per column")
+        g = gammas[j]
+        if d is None:
+            size = sum(p.shape[0] for p in parts)
+            d, x, y = np.empty(size), np.empty(size), np.empty(size)
+        out = d if j == 0 else x
+        pos = 0
+        for p in parts:
+            np.multiply(g, p, out=out[pos : pos + p.shape[0]])
+            pos += p.shape[0]
+        if j:
+            np.add(1.0, d, out=y)
+            np.multiply(x, y, out=x)
+            np.add(d, x, out=d)
+    return d
+
+
+def product_sum(gammas, cols):
+    """The per-slot values prod_j (1 + gammas[j] col_j) - 1 of the columns
+    of cols (numtheory.ColumnSlices), one gamma per column, at least one."""
+    if len(gammas) != len(cols) or not len(cols):
+        raise ValueError("need one gamma per column and at least one column")
+    return product_columns(gammas, map(cols.parts, range(len(cols))))

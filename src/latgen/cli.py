@@ -22,7 +22,14 @@ from .error import (
     bound_thm_cbcdbd,
     wce_product,
 )
-from .numtheory import GeneratingVector, check_modulus, is_prime, lattice_points, prev_prime
+from .numtheory import (
+    GeneratingVector,
+    check_modulus,
+    is_prime,
+    lattice_points,
+    prev_prime,
+    unit_layout,
+)
 from .sweep import construct, fmt, sweep_row, write_sweep_csv
 from .weights import ProductWeights, parse_weight_spec, power_weights
 
@@ -96,9 +103,10 @@ def cmd_error(args) -> int:
             raise ValueError("--apply-power requires product weights")
         w_eval = power_weights(w, args.alpha)
     report = {"N": v.N, "s": v.s, "alpha": args.alpha}
-    report["wce"] = wce_product(v, args.alpha, w_eval)
+    layout = unit_layout(v.N)
+    report["wce"] = wce_product(v, args.alpha, w_eval, layout)
     if args.with_T:
-        report["T"] = T_quantity(v, w)
+        report["T"] = T_quantity(v, w, layout)
     if args.with_bounds:
         if v.N & (v.N - 1) == 0:
             report["bound_cbcdbd"] = bound_thm_cbcdbd(v.N, w, v.s)

@@ -11,10 +11,15 @@ lattice inside a box and returns a value plus a rigorous tail bound, serving
 as the differential oracle.
 
 lattice_kernel_sum visits k in the order of numtheory.unit_layout(N). For
-prime N and N = 2^n every column is then a few slices of one table (the +-
-pairs k, N - k share a slot, counted twice), so the sum takes O(s N/2) work
-with no modular arithmetic and no gather per column; other moduli gather
-tab[k z mod N] over k = 0..N-1.
+prime N and N = 2^n every column is then a few slices of one buffer
+(numtheory.UnitColumns; the +- pairs k, N - k share a slot, counted twice),
+and for product weights one compiled kernel (latgen._kernels.product_sum)
+runs all s columns over a cache-sized chunk of slots at a time: O(s N/2)
+work with no modular arithmetic, no gather and no column copied. Other
+moduli gather tab[k z mod N] over k = 0..N-1 into the numpy loop. A theorem
+bound is the same kernel over a one-value buffer that every column reads at
+offset 0. Callers that evaluate several sums of one vector (latgen error: e
+and T) build the layout once and pass it.
 """
 
 import math
@@ -24,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .kernel import fourier_decay_table, zeta
-from .numtheory import GeneratingVector, UnitColumns, unit_layout
+from .numtheory import ColumnSlices, GeneratingVector, UnitColumns, unit_layout
 from .spectral import cosine_dft
 from .weights import subset_product_sum, weight_of
 
@@ -66,23 +71,28 @@ class ErrorInterval:
         return self.value + self.tail_bound
 
 
-def lattice_kernel_sum(v: GeneratingVector, tab: np.ndarray, w) -> float:
+def lattice_kernel_sum(v: GeneratingVector, tab: np.ndarray, w, layout=None) -> float:
     """sum over nonempty u of gamma_u sum_{k=0}^{N-1} prod_{j in u} tab[(k z_j) % N]
     for a residue-indexed, exactly symmetric table of length N (see
     latgen.kernel). For product weights the per-k products are the doubles
-    of the natural order, and their sum is one correctly rounded fsum."""
-    layout = unit_layout(v.N)
+    of the natural order, and their sum is one correctly rounded fsum.
+    layout is unit_layout(v.N), built here when not given."""
+    if layout is None:
+        layout = unit_layout(v.N)
+    elif layout.N != v.N:
+        raise ValueError("the layout is for N = %d, the vector for N = %d" % (layout.N, v.N))
     cols = UnitColumns(layout, tab)
-    return subset_product_sum(w, map(cols.ordered, v.z), layout.counts)
+    return subset_product_sum(w, cols.columns(v.z), layout.counts)
 
 
-def wce_product(v: GeneratingVector, alpha: float, w) -> float:
+def wce_product(v: GeneratingVector, alpha: float, w, layout=None) -> float:
     """e = -1 + (1/N) sum_{k=0}^{N-1} prod_j (1 + gamma_j * D_alpha({k z_j / N}))
     where D_alpha is the two-sided Fourier decay sum (D_alpha(0) = 2 zeta(alpha)).
+    layout as for lattice_kernel_sum.
     """
     if alpha <= 1.0:
         raise ValueError("requires alpha > 1")
-    return lattice_kernel_sum(v, fourier_decay_table(alpha, v.N), w) / v.N
+    return lattice_kernel_sum(v, fourier_decay_table(alpha, v.N), w, layout) / v.N
 
 
 def dual_indicator(m, v: GeneratingVector) -> int:
@@ -151,20 +161,24 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
     return tab
 
 
-def T_quantity(v: GeneratingVector, w) -> float:
+def T_quantity(v: GeneratingVector, w, layout=None) -> float:
     """T(N,z) = sum over nonempty u of (gamma_u / N) sum_{k=0}^{N-1}
-    prod_{j in u} theta_N({k z_j / N}), theta_N(0) = 2 H_{N-1}."""
-    return T_alpha_quantity(v, 1.0, w)
+    prod_{j in u} theta_N({k z_j / N}), theta_N(0) = 2 H_{N-1}. layout as
+    for lattice_kernel_sum."""
+    return T_alpha_quantity(v, 1.0, w, layout)
 
 
-def T_alpha_quantity(v: GeneratingVector, alpha: float, w) -> float:
+def T_alpha_quantity(v: GeneratingVector, alpha: float, w, layout=None) -> float:
     """As T_quantity with coefficients 1/|m|^alpha, truncated at |m| < N."""
-    return lattice_kernel_sum(v, vartheta_table(v.N, alpha), w) / v.N
+    return lattice_kernel_sum(v, vartheta_table(v.N, alpha), w, layout) / v.N
 
 
 def _subset_power_sum(w, s: int, a: float) -> float:
-    """sum over nonempty u of gamma_u * a^|u|."""
-    return subset_product_sum(w, [np.array([a])] * s)
+    """sum over nonempty u of gamma_u * a^|u|: s one-point columns, each
+    reading the single value a."""
+    return subset_product_sum(
+        w, ColumnSlices(np.array([a]), np.zeros((s, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
+    )
 
 
 def bound_thm_existence(N: int, w, s: int = None) -> float:

@@ -62,12 +62,20 @@ def kernel_table(N: int) -> np.ndarray:
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    k = np.arange(1, N)
-    vals = -2.0 * np.log(np.sin(np.pi * k / N))
-    tab = np.zeros(N)
+    # -2 ln(sin(pi k / N)), k = 1..N-1, in one buffer: the operations of the
+    # expression in its order, without a temporary per step.
+    vals = np.arange(1, N, dtype=np.float64)
+    vals *= np.pi
+    vals /= N
+    np.sin(vals, out=vals)
+    np.log(vals, out=vals)
+    vals *= -2.0
+    tab = np.empty(N)
+    tab[0] = 0.0
     # Enforce exact symmetry: averaging the mirrored array maps both members
     # of each (k, N-k) pair to the identical double.
-    tab[1:] = 0.5 * (vals + vals[::-1])
+    np.add(vals, vals[::-1], out=tab[1:])
+    tab[1:] *= 0.5
     return tab
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "MODULUS_LIMIT",
     "check_modulus",
     "UnitLayout",
+    "ColumnSlices",
     "UnitColumns",
     "unit_layout",
 ]
@@ -247,38 +248,97 @@ def unit_layout(N: int) -> UnitLayout:
     return UnitLayout(N, True, blocks, fixed, counts, dlog)
 
 
+class ColumnSlices:
+    """Columns stored as slices of one buffer.
+
+    Column j is buf[offsets[j, k] : offsets[j, k] + lengths[k]] for
+    k = 0..m-1, laid end to end: size values in all. Every slice is checked
+    to lie inside buf, so compiled code may read them unchecked. (A plain
+    class: a dataclass would cost about 1 ms of every import.)
+    """
+
+    __slots__ = ("buf", "offsets", "lengths")
+
+    def __init__(self, buf, offsets, lengths):
+        self.buf = np.ascontiguousarray(buf, dtype=np.float64)
+        self.offsets = offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        self.lengths = lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+        if (self.buf.ndim != 1 or lengths.ndim != 1 or offsets.ndim != 2
+                or offsets.shape[1] != lengths.shape[0]):
+            raise ValueError("need a 1-d buf, and offsets of shape (s, len(lengths))")
+        if (lengths.size and lengths.min() < 0) or (offsets.size and (
+                offsets.min() < 0 or (offsets + lengths).max() > self.buf.shape[0])):
+            raise ValueError("every slice must lie inside buf")
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for j in range(len(self)):
+            yield np.concatenate(self.parts(j))
+
+    @property
+    def size(self) -> int:
+        """The length of every column."""
+        return int(self.lengths.sum())
+
+    def parts(self, j: int):
+        """The slices of column j, in slot order (views of buf)."""
+        return [self.buf[o : o + L]
+                for o, L in zip(self.offsets[j].tolist(), self.lengths.tolist())]
+
+
 class UnitColumns:
     """The columns tab[k z mod N] of one table for the units z, in slot order.
 
     tab is residue-indexed and exactly symmetric (UnitLayout.check_table). A
-    block longer than ROW_SPAN is stored twice in a row, so the values that a
-    rotation by b meets are one slice of it. The shorter blocks and the fixed
-    slots are stored once per rotation, as the rows of one table.
+    block longer than ROW_SPAN is stored twice in a row (doubled), so the
+    values that a rotation by b meets are one slice of it. The shorter blocks
+    and the fixed slots are stored once per rotation, as the rows of one
+    table (rows). All of them are views of one contiguous buffer, so that the
+    columns of a cyclic layout are ColumnSlices of it (columns).
     """
 
     def __init__(self, layout: UnitLayout, tab):
         self.layout = layout
         self.tab = tab = layout.check_table(tab)
+        self.doubled, self.rows = [], None
+        if not layout.cyclic:
+            return
         long = [bl for bl in layout.blocks if bl.shape[0] > ROW_SPAN]
         short = layout.blocks[len(long) :]
-        self.doubled = [(np.tile(tab[bl], 2), bl.shape[0]) for bl in long]
         period = short[0].shape[0] if short else 1  # every shorter length divides it
         r = np.arange(period)[:, None]
         idx = [bl[(r + np.arange(bl.shape[0])) % bl.shape[0]] for bl in short]
         idx.append(np.broadcast_to(layout.fixed, (period, layout.fixed.shape[0])))
-        self.rows = tab[np.hstack(idx)] if layout.cyclic else None
+        idx = np.hstack(idx)
+        lengths = [bl.shape[0] for bl in long] + [idx.shape[1]]
+        starts = np.cumsum([0] + [2 * L for L in lengths[:-1]])
+        self.buf = np.empty(int(starts[-1]) + idx.size)
+        for bl, start in zip(long, starts.tolist()):
+            L = bl.shape[0]
+            tt = self.buf[start : start + 2 * L]
+            np.take(tab, bl, out=tt[:L])
+            tt[L:] = tt[:L]
+            self.doubled.append((tt, L))
+        self.rows = self.buf[int(starts[-1]) :].reshape(idx.shape)
+        np.take(tab, idx, out=self.rows)
+        self._starts = starts
+        self._lengths = np.array(lengths, dtype=np.int64)
 
-    def ordered(self, z: int) -> np.ndarray:
-        """tab[k z mod N] for the slots k of the layout, in slot order."""
+    def columns(self, zs):
+        """The columns for the units zs: ColumnSlices of the buffer when the
+        layout is cyclic, else an iterator of gathers tab[k z mod N]."""
         lay = self.layout
         if not lay.cyclic:
-            return self.tab[lay.fixed * z % lay.N]
-        b = int(lay.dlog[z])
-        if b < 0:
-            raise ValueError("z = %d is not a unit mod %d" % (z, lay.N))
-        row = self.rows[b % self.rows.shape[0]]
-        if not self.doubled:
-            return row
-        parts = [tt[b % L : b % L + L] for tt, L in self.doubled]
-        parts.append(row)
-        return np.concatenate(parts)
+            return (self.tab[lay.fixed * z % lay.N] for z in zs)
+        b = lay.dlog[np.asarray(zs, dtype=np.int64)]
+        bad = np.flatnonzero(b < 0)
+        if bad.size:
+            raise ValueError("z = %d is not a unit mod %d" % (zs[bad[0]], lay.N))
+        b = b.astype(np.int64)[:, None]
+        L = self._lengths
+        offsets = np.empty((b.shape[0], L.shape[0]), dtype=np.int64)
+        offsets[:, :-1] = self._starts[:-1] + b % L[:-1]
+        offsets[:, -1:] = self._starts[-1] + (b % self.rows.shape[0]) * L[-1]
+        return ColumnSlices(self.buf, offsets, L)

@@ -13,7 +13,7 @@ import latgen
 from latgen import _kernels, _slowpath
 from latgen.cbc import _accumulate_product, _gather_score, _natural_column
 from latgen.kernel import kernel_table
-from latgen.numtheory import unit_layout
+from latgen.numtheory import ColumnSlices, unit_layout
 
 
 def test_backend_is_reported():
@@ -95,6 +95,23 @@ def test_accumulate_and_gather_backends_agree():
             assert _gather_score(q1, column, z) == pytest.approx(loop, rel=1e-12)
 
 
+def test_product_sum_backends_agree():
+    """The compiled lattice-sum kernel gives the doubles of its numpy twin, on
+    segments shorter than, equal to and longer than its chunk, and empty."""
+    rng = np.random.default_rng(8)
+    lengths = np.array([1500, 0, 512, 511, 1, 513, 130])
+    buf = rng.uniform(-1.4, 3.0, size=4096)
+    for s in (1, 2, 7, 100):
+        offsets = rng.integers(0, buf.shape[0] - lengths + 1, size=(s, lengths.shape[0]))
+        cols = ColumnSlices(buf, offsets, lengths)
+        for gammas in (rng.uniform(0.0, 1.0, size=s), 0.5 ** np.arange(1, s + 1)):
+            d = _kernels.product_sum(gammas, cols)
+            assert d.shape == (lengths.sum(),)
+            assert np.array_equal(d, _slowpath.product_sum(gammas, cols))
+    with pytest.raises(ValueError):
+        _kernels.product_sum([0.5], ColumnSlices(buf, np.zeros((2, 1)), [3]))
+
+
 def _run(code, **env):
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -142,6 +159,43 @@ def test_constructions_identical_across_backends():
     forced = latgen.BACKEND_REASON.startswith("forced by LATGEN_PURE")
     assert compiled[0] == ("c" if forced else latgen.BACKEND) and pure[0] == "numpy"
     assert len(compiled) == 4 * 11 + 2 * 2 + 5 + 2
+    assert compiled[1:] == pure[1:]
+
+
+# Every lattice sum and theorem bound on the grid of test_error.py, printed
+# exactly: the C kernel and the numpy twin must give the same doubles.
+SUMS_CODE = (
+    "import numpy as np\n"
+    "import latgen\n"
+    "from latgen.cbc import _omega_table\n"
+    "from latgen.error import (bound_thm_cbc, bound_thm_cbcdbd, bound_thm_existence,\n"
+    "                          lattice_kernel_sum, vartheta_table)\n"
+    "from latgen.kernel import fourier_decay_table, kernel_table\n"
+    "from latgen.numtheory import GeneratingVector, gcd, is_prime\n"
+    "from latgen.weights import ProductWeights\n"
+    "print(latgen.BACKEND)\n"
+    "for N in (3, 61, 127, 131, 257, 16381, 2, 4, 8, 16, 256, 512, 4096, 1 << 16, 6, 12, 100):\n"
+    "    rng = np.random.default_rng(N)\n"
+    "    units = [k for k in range(1, N) if gcd(k, N) == 1]\n"
+    "    tables = [fourier_decay_table(2.0, N), fourier_decay_table(2.5, N),\n"
+    "              vartheta_table(N), kernel_table(N), _omega_table(N)]\n"
+    "    for s in (1, 2, 100):\n"
+    "        v = GeneratingVector(N, tuple(int(z) for z in rng.choice(units, size=s)))\n"
+    "        for make in (lambda j: 1.0 / j**2, lambda j: 0.5**j):\n"
+    "            w = ProductWeights(tuple(make(j) for j in range(1, s + 1)))\n"
+    "            bound = (bound_thm_cbcdbd(N, w) if N & (N - 1) == 0\n"
+    "                     else bound_thm_cbc(N, w) if is_prime(N) else 0.0)\n"
+    "            print(N, s, [lattice_kernel_sum(v, tab, w).hex() for tab in tables],\n"
+    "                  bound_thm_existence(N, w).hex(), bound.hex())\n"
+)
+
+
+def test_lattice_sums_identical_across_backends():
+    compiled = _run(SUMS_CODE, LATGEN_PURE="0").splitlines()
+    pure = _run(SUMS_CODE, LATGEN_PURE="1").splitlines()
+    forced = latgen.BACKEND_REASON.startswith("forced by LATGEN_PURE")
+    assert compiled[0] == ("c" if forced else latgen.BACKEND) and pure[0] == "numpy"
+    assert len(compiled) == 1 + 17 * 3 * 2
     assert compiled[1:] == pure[1:]
 
 

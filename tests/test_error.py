@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from latgen.cbc import construct_korobov_cbc, construct_standard_cbc
+from latgen import error
+from latgen.cbc import _omega_table, construct_korobov_cbc, construct_standard_cbc
 from latgen.cbc_dbd import construct_cbc_dbd
 from latgen.error import (
     ErrorInterval,
@@ -19,7 +20,7 @@ from latgen.error import (
     wce_product,
 )
 from latgen.kernel import fourier_decay_table, kernel_table
-from latgen.numtheory import GeneratingVector, gcd
+from latgen.numtheory import GeneratingVector, gcd, unit_layout
 from latgen.weights import GeneralWeights, ProductWeights, power_weights, subset_product_sum
 
 W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
@@ -199,3 +200,87 @@ def test_lattice_kernel_sum_matches_natural_order_gather(N):
                     assert got == pytest.approx(oracle, rel=1e-13)
                 else:
                     assert got == oracle
+
+
+def _plain_product_sum(w, columns):
+    """The product-weight sum as a plain loop over whole columns, out of
+    place: the reference the kernel and its numpy twin must equal bit for
+    bit."""
+    d = None
+    for j, col in enumerate(columns, start=1):
+        x = w.gamma(j) * col
+        d = x if d is None else d + x * (1.0 + d)
+    return 0.0 if d is None else math.fsum(memoryview(d))
+
+
+# Primes; 2^n with no block longer than ROW_SPAN (n <= 8), so that a column is
+# one row, and with one or more (n = 9, 12, 16); composites, whose columns are
+# gathers.
+SUM_GRID_MODULI = [3, 61, 127, 131, 257, 16381, 2, 4, 8, 16, 256, 512, 4096, 1 << 16,
+                   6, 12, 100]
+# 0.5^j drives d below machine epsilon after a few coordinates.
+SUM_GRID_WEIGHTS = [lambda j: 1.0 / j**2, lambda j: 0.5**j]
+SUM_GRID_DIMS = [1, 2, 100]
+
+
+def _grid_tables(N):
+    """The decay tables at alpha = 2 and 2.5, vartheta_N, the log-sine table
+    and the omega table, which has negative entries."""
+    return [fourier_decay_table(2.0, N), fourier_decay_table(2.5, N), vartheta_table(N),
+            kernel_table(N), _omega_table(N)]
+
+
+@pytest.mark.parametrize("N", SUM_GRID_MODULI)
+def test_lattice_kernel_sum_equals_the_plain_column_loop(N):
+    """Every product-weight lattice sum (e, T, T_alpha, H, V) is the same
+    double as the plain loop over gathered columns tab[k z mod N], k = 0..N-1,
+    with or without a layout passed in."""
+    rng = np.random.default_rng(N)
+    units = [k for k in range(1, N) if gcd(k, N) == 1]
+    k = np.arange(N, dtype=np.int64)
+    layout = unit_layout(N)
+    tables = _grid_tables(N)
+    for s in SUM_GRID_DIMS:
+        v = GeneratingVector(N, tuple(int(z) for z in rng.choice(units, size=s)))
+        for gamma in SUM_GRID_WEIGHTS:
+            w = ProductWeights(tuple(gamma(j) for j in range(1, s + 1)))
+            for tab in tables:
+                ref = _plain_product_sum(w, (tab[k * zj % N] for zj in v.z))
+                assert lattice_kernel_sum(v, tab, w) == ref
+                assert lattice_kernel_sum(v, tab, w, layout) == ref
+
+
+def test_lattice_kernel_sum_rejects_a_layout_of_another_modulus():
+    v = GeneratingVector(16, (1, 3))
+    with pytest.raises(ValueError):
+        wce_product(v, 2.0, ProductWeights((1.0, 0.5)), unit_layout(32))
+
+
+def test_theorem_bounds_equal_the_one_point_column_loop(monkeypatch):
+    """The bounds read one value through the lattice-sum kernel; they are the
+    doubles of the plain loop over s one-point arrays."""
+    cases = []
+    for s in SUM_GRID_DIMS:
+        for gamma in SUM_GRID_WEIGHTS:
+            cases.append((ProductWeights(tuple(gamma(j) for j in range(1, s + 1))), s))
+    cases.append((ProductWeights(W.gammas), 4))  # fewer dimensions than weights
+    cases.append((GeneralWeights.from_product(ProductWeights((0.7, 0.3, 0.2))), 3))
+
+    def values():
+        out = []
+        for w, s in cases:
+            for N in (2, 16, 1024, 1 << 16):
+                out += [bound_thm_cbcdbd(N, w, s), bound_thm_existence(N, w, s)]
+            for N in (3, 61, 16381):
+                out += [bound_thm_cbc(N, w, s), bound_thm_existence(N, w, s)]
+        return out
+
+    got = values()
+
+    def plain_power_sum(w, s, a):
+        if isinstance(w, GeneralWeights):
+            return subset_product_sum(w, [np.array([a])] * s)
+        return _plain_product_sum(w, [np.array([a])] * s)
+
+    monkeypatch.setattr(error, "_subset_power_sum", plain_power_sum)
+    assert got == values()

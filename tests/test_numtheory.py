@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latgen.numtheory import (
+    ColumnSlices,
     GeneratingVector,
     gcd,
     is_prime,
@@ -110,7 +111,7 @@ def test_unit_layout_rotates_for_every_unit(N):
     cols = UnitColumns(lay, tab)
     for z in range(1, N):
         if gcd(z, N) == 1:
-            assert np.array_equal(cols.ordered(z), tab[res * z % N])
+            assert np.array_equal(next(iter(cols.columns([z]))), tab[res * z % N])
         else:
             assert lay.dlog[z] == -1
 
@@ -121,7 +122,8 @@ def test_unit_layout_of_other_moduli_is_the_natural_order():
     assert np.array_equal(lay.fixed, np.arange(12))
     assert np.array_equal(lay.counts, np.ones(12))
     tab = _symmetric_table(12)
-    assert np.array_equal(UnitColumns(lay, tab).ordered(5), tab[np.arange(12) * 5 % 12])
+    column = next(iter(UnitColumns(lay, tab).columns([5])))
+    assert np.array_equal(column, tab[np.arange(12) * 5 % 12])
 
 
 def test_unit_layout_rejects_bad_input():
@@ -132,4 +134,10 @@ def test_unit_layout_rejects_bad_input():
     with pytest.raises(ValueError):  # not symmetric
         UnitColumns(unit_layout(13), np.arange(13.0))
     with pytest.raises(ValueError):
-        UnitColumns(unit_layout(16), _symmetric_table(16)).ordered(4)
+        UnitColumns(unit_layout(16), _symmetric_table(16)).columns([4])
+    with pytest.raises(ValueError):  # a slice past the end of the buffer
+        ColumnSlices(np.zeros(4), [[2]], [3])
+    with pytest.raises(ValueError):
+        ColumnSlices(np.zeros(4), [[-1]], [1])
+    with pytest.raises(ValueError):  # one offset per length
+        ColumnSlices(np.zeros(4), [[0, 1]], [1])
