@@ -7,18 +7,24 @@ sum_{k=1}^{N-1} q[k-1] * tab[(k z) mod N], where q is the running product
 over the earlier components.
 
 The fast mode is Nuyens and Cools' fast CBC. `scoring_plan` builds, once per
-construction, the index arrays that fold q onto the slots of
-numtheory.unit_layout, the spectra of the long blocks' kernels and the row
-table of the short ones. Every unit z = +-g^b (+-5^b) rotates each block of
-the layout by b, and the scores of z and N - z are bit-equal (the tables are
-exactly symmetric), so only z <= N/2 are scored, in the order of b. A
-component then costs one gather of the fold, the scoring below, the argmin
-and the state update. The rescore and the update read the column
-tab[k z mod N] in the natural order of q: for prime N from the doubled power
-table at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
+construction, the slot layout of the state, the spectra of the long blocks'
+kernels and the row table of the short ones. The tables are exactly
+symmetric, so q[k-1] == q[N-k-1] bit for bit, and the state p keeps one slot
+per +- pair of residues: the blocks of numtheory.unit_layout, then the fixed
+residues. Every unit z = +-g^b (+-5^b) rotates each block by b, and the
+scores of z and N - z are bit-equal, so only z <= N/2 are scored, in the
+order of b. A component costs the scoring below, the argmin and the update,
+all on contiguous memory: the fold is p times each slot's count of residues
+(2 for a pair), a long block is updated by a slice of its doubled kernel
+values, the short blocks and fixed slots by the row of rotation b. Only a
+component that rescores rebuilds q in natural order, with one gather, and
+reads the columns tab[k z mod N]: for prime N from the doubled power table
+at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
 
 - Long blocks (longer than numtheory.ROW_SPAN): the scores are a cyclic
-  correlation, a convolution of the reversed fold on numpy.fft. For prime N
+  correlation, a convolution of the reversed fold on numpy.fft (a long
+  block's slots hold a_0, a_(L-1), ..., a_1, so its fold is already
+  reversed, and its update reads the doubled values backwards). For prime N
   the one block has length H = (N-1)/2; its fold is convolved with two
   periods of the kernel as one zero-padded product of power-of-two length
   M >= N - 1, whatever the factors of N - 1 (`spectral.convolver`; a
@@ -124,37 +130,40 @@ def _natural_column(layout: UnitLayout, tab: np.ndarray):
 class _Level:
     """One cyclic convolution: the fold f[start:stop] against the spectrum K."""
 
-    start: int  # f[start:stop] is the block's fold, in reverse order so
-    stop: int  # that the correlation becomes a convolution
+    start: int  # p[start:stop] are the block's slots, a_0, a_(L-1), ..., a_1,
+    stop: int  # so that the correlation becomes a convolution
     length: int  # transform length of the slice
     K: np.ndarray  # the reordered kernel's convolver spectrum, times the tiling factor
     step: int  # K lands on every step-th bin of the summed spectrum
     kernel_norm: float
+    doubled: np.ndarray  # the block's kernel values a_0..a_(L-1), twice (UnitColumns)
 
 
 @dataclass(frozen=True)
 class ScoringPlan:
-    """Candidates z <= N/2 and what scores all of them at once.
+    """Candidates z <= N/2, the slot layout of the state, and what scores
+    all candidates at once.
 
-    scores(q)[i] approximates _gather_score(q, column, z[i]); the returned
-    bound caps the difference. The fold is f = q[i1] with q[i2] added to its
-    first i2.shape[0] slots: the +- partners of each block, and 3N/4 onto N/4.
+    Slot i of the state p stands for the residues residues[i] and
+    N - residues[i] (one residue for N/2), whose entries of the natural-order
+    running product are equal: q = p[natural]. scores(p)[i] approximates
+    _gather_score(q, column, z[i]); the returned bound caps the difference.
     """
 
-    z: np.ndarray
-    i1: np.ndarray
-    i2: np.ndarray
+    z: np.ndarray  # z[b] is the one of +-g^b (+-5^b for N = 2^n) below N/2
+    residues: np.ndarray  # int64, the residue each slot stands for
+    natural: np.ndarray  # int64, the slot of each k = 1..N-1
+    counts: np.ndarray  # residues per slot: the fold is p * counts
     levels: Tuple[_Level, ...]  # the blocks longer than ROW_SPAN
     size: int  # length of the one inverse transform
     offset: int  # the scores start here in the inverse transform
-    short: int  # f[short:] are the short blocks' slots and the fixed ones
+    short: int  # p[short:] are the short blocks' slots and the fixed ones
     rows: np.ndarray  # rows[b] @ f[short:] is their score at rotation b
     row_norm: float  # max_b ||rows[b]||_2
     column: Callable[[int], np.ndarray]  # _natural_column of the plan's table
 
-    def scores(self, q: np.ndarray):
-        f = q[self.i1]
-        f[: self.i2.shape[0]] += q[self.i2]
+    def scores(self, p: np.ndarray):
+        f = p * self.counts
         bound = 0.0
         if self.levels:
             spec = None
@@ -191,13 +200,23 @@ class ScoringPlan:
             bound += (m + 1) * _EPS * _norm(fs) * self.row_norm
         return sc, bound
 
+    def update(self, p: np.ndarray, b: int, gamma: float):
+        """p *= 1 + gamma * tab[a z mod N] for each slot's residue a, in
+        place, for z = z[b]: z rotates each block by b."""
+        for lv in self.levels:
+            L = lv.stop - lv.start
+            c = L + b % L  # slot i holds a_(-i mod L), which z takes to a_(b-i mod L)
+            p[lv.start : lv.stop] *= 1.0 + gamma * lv.doubled[c : c - L : -1]
+        if p.shape[0] > self.short:
+            p[self.short :] *= 1.0 + gamma * self.rows[b % self.rows.shape[0]]
+
 
 def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     """The scoring plan for prime N >= 3 or N = 2^n >= 8; tab is the
     residue-indexed, exactly symmetric kernel table (tab[a] == tab[N - a]).
 
     Each block of unit_layout(N) longer than ROW_SPAN is one level: its
-    residues a_i order the kernel, and q is folded over the pairs a_i, N - a_i
+    residues a_i order the kernel, and its slots hold the pairs a_i, N - a_i
     in reverse order. The shorter blocks and the fixed residues other than 0
     are scored by the rows of UnitColumns, the table the lattice sums read.
     """
@@ -213,51 +232,56 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     levels = []
     slots = []
     start = 0
-    for res, conv in zip(long, convs):
-        L = res.shape[0]
+    for res, conv, (doubled, L) in zip(long, convs, cols.doubled):
         slots.append(res[(-np.arange(L)) % L])
         levels.append(_Level(start=start, stop=start + L, length=conv.size,
-                             K=(Q // L) * conv.spectrum, step=Q // L, kernel_norm=conv.norm))
+                             K=(Q // L) * conv.spectrum, step=Q // L, kernel_norm=conv.norm,
+                             doubled=doubled))
         start += L
     slots.extend(short)
     # The fixed slots follow the short blocks, as in cols.rows, but without
-    # k = 0 (not in q) and reversed, so that the folded ones come first: for
+    # k = 0 (not in q) and reversed, so that the pairs come first: for
     # N = 2^n, N/4 (with 3N/4), then N/2.
-    fixed = layout.fixed[:0:-1]
-    paired = np.concatenate(slots + [fixed[:1]])
-    i1 = np.concatenate((paired, fixed[1:])) - 1
+    slots.append(layout.fixed[:0:-1])
+    residues = np.concatenate(slots)
+    slot_of = np.empty(N, dtype=np.int64)
+    slot_of[residues] = slot_of[N - residues] = np.arange(residues.shape[0])
     n_short = sum(bl.shape[0] for bl in short)
     rows = np.hstack((cols.rows[:, :n_short], cols.rows[:, : n_short : -1]))
     top = layout.blocks[0]
     size, offset = (convs[0].size, convs[0].offset) if convs else (0, 0)
-    return ScoringPlan(z=np.minimum(top, N - top), i1=i1, i2=N - paired - 1, levels=tuple(levels),
+    return ScoringPlan(z=np.minimum(top, N - top), residues=residues, natural=slot_of[1:],
+                       counts=np.where(2 * residues == N, 1.0, 2.0), levels=tuple(levels),
                        size=size, offset=offset, short=start, rows=rows,
                        row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()),
                        column=_natural_column(layout, tab))
 
 
-def _refined_argmin(plan: ScoringPlan, q: np.ndarray):
-    """The z of least score, or None if the scores are not finite.
+def _refined_argmin(plan: ScoringPlan, p: np.ndarray):
+    """The index b of the candidate plan.z[b] of least score, or None if the
+    scores are not finite.
 
     A lone candidate within 2 * bound of the minimal plan score is taken as
-    it is; several are rescored by the exact gather sum, smallest z winning
-    ties."""
-    sc, bound = plan.scores(q)
+    it is; several are rescored by the exact gather sum over q = p[natural],
+    smallest z winning ties."""
+    sc, bound = plan.scores(p)
     i = int(sc.argmin())  # the first NaN, if there is one
     lo = float(sc[i])
     if not math.isfinite(lo):
         return None
     near = sc <= lo + 2.0 * bound
     if np.count_nonzero(near) == 1:
-        return int(plan.z[i])
-    best_z = None
+        return i
+    near = np.flatnonzero(near)
+    q = p[plan.natural]
+    best = None
     best_val = math.inf
-    for zz in np.sort(plan.z[near]).tolist():
-        val = _gather_score(q, plan.column, zz)
+    for b in near[np.argsort(plan.z[near])].tolist():
+        val = _gather_score(q, plan.column, int(plan.z[b]))
         if val < best_val:
             best_val = val
-            best_z = zz
-    return best_z
+            best = b
+    return best
 
 
 def _naive_argmin(q: np.ndarray, column, z_candidates: np.ndarray):
@@ -268,24 +292,26 @@ def _naive_argmin(q: np.ndarray, column, z_candidates: np.ndarray):
 
 
 def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray, mode: str):
-    """Shared greedy loop; tab is the residue-indexed kernel table."""
+    """Shared greedy loop; tab is the residue-indexed kernel table. The fast
+    mode keeps the running product on the plan's slots, the naive mode in
+    natural order."""
     if mode not in ("fast", "naive"):
         raise ValueError("mode must be 'fast' or 'naive'")
     power_of_two = N & (N - 1) == 0
     plan = None
     if mode == "fast" and (not power_of_two or N >= 8):
         plan = scoring_plan(N, tab)
-        column = plan.column
     else:
         column = _natural_column(unit_layout(N), tab)
-    z_candidates = np.arange(1, N, 2 if power_of_two else 1, dtype=np.int64)
+        z_candidates = np.arange(1, N, 2 if power_of_two else 1, dtype=np.int64)
     z = [1]
     # q leaving double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        q = 1.0 + gammas[0] * tab[1:]
+        q = 1.0 + gammas[0] * (tab[1:] if plan is None else tab[plan.residues])
         for d in range(2, s + 1):
             if plan is not None:
-                zd = _refined_argmin(plan, q)
+                b = _refined_argmin(plan, q)
+                zd = None if b is None else int(plan.z[b])
             else:
                 zd = _naive_argmin(q, column, z_candidates)
             if zd is None:
@@ -294,7 +320,10 @@ def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray, mode
                     "so no z_%d can be chosen: the weights are too large" % (d - 1, d))
             z.append(zd)
             if d < s:
-                _accumulate_product(q, column, zd, gammas[d - 1])
+                if plan is not None:
+                    plan.update(q, b, gammas[d - 1])
+                else:
+                    _accumulate_product(q, column, zd, gammas[d - 1])
     return GeneratingVector(N, tuple(z))
 
 

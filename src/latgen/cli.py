@@ -11,6 +11,7 @@ memory included).
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -196,7 +197,11 @@ def cmd_experiments(args) -> int:
 
 # ----------------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then kept: building it takes about
+    a millisecond, a sizable part of a small call, and parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(prog="latgen",
                                  description="rank-1 lattice rule constructions")
     sub = ap.add_subparsers(dest="command", required=True)

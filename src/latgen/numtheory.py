@@ -17,6 +17,7 @@ keep the natural order k = 0..N-1 and gather tab[k z mod N].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Tuple
 
@@ -219,6 +220,21 @@ class UnitLayout:
             raise ValueError("tab must have length N and satisfy tab[a] == tab[N - a]")
         return tab
 
+    @cached_property
+    def row_residues(self) -> np.ndarray:
+        """The residues of UnitColumns' row table, read-only: row r holds each
+        block no longer than ROW_SPAN rotated by r, then the fixed residues.
+        Every table on this layout reads the same ones, so they are built
+        once per layout."""
+        short = [bl for bl in self.blocks if bl.shape[0] <= ROW_SPAN]
+        period = short[0].shape[0] if short else 1  # every shorter length divides it
+        r = np.arange(period)[:, None]
+        idx = [bl[(r + np.arange(bl.shape[0])) % bl.shape[0]] for bl in short]
+        idx.append(np.broadcast_to(self.fixed, (period, self.fixed.shape[0])))
+        idx = np.hstack(idx)
+        idx.flags.writeable = False
+        return idx
+
 
 def unit_layout(N: int) -> UnitLayout:
     """The unit layout of the residues mod N (see UnitLayout)."""
@@ -306,12 +322,7 @@ class UnitColumns:
         if not layout.cyclic:
             return
         long = [bl for bl in layout.blocks if bl.shape[0] > ROW_SPAN]
-        short = layout.blocks[len(long) :]
-        period = short[0].shape[0] if short else 1  # every shorter length divides it
-        r = np.arange(period)[:, None]
-        idx = [bl[(r + np.arange(bl.shape[0])) % bl.shape[0]] for bl in short]
-        idx.append(np.broadcast_to(layout.fixed, (period, layout.fixed.shape[0])))
-        idx = np.hstack(idx)
+        idx = layout.row_residues
         lengths = [bl.shape[0] for bl in long] + [idx.shape[1]]
         starts = np.cumsum([0] + [2 * L for L in lengths[:-1]])
         self.buf = np.empty(int(starts[-1]) + idx.size)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from latgen.cbc import (
     _accumulate_product,
     _cbc_greedy,
     _gather_score,
+    _natural_column,
+    _norm,
     _omega_table,
     construct_korobov_cbc,
     construct_standard_cbc,
@@ -23,6 +26,7 @@ W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
 # q grows past 1e20 under these weights, where packing q and the kernel into
 # one complex transform lost the kernel's digits
 W095 = ProductWeights(tuple(0.95**j for j in range(1, 101)))
+WJ2 = ProductWeights(tuple(1.0 / j**2 for j in range(1, 101)))
 
 
 def test_V_quality_direct_sum():
@@ -58,9 +62,10 @@ def test_rader_scores_match_direct(N):
     """The prime plan's scores equal the direct sums and the Rader convolution."""
     rng = np.random.default_rng(N)
     q = rng.standard_normal(N - 1)
+    q += q[::-1]  # q[k-1] == q[N-k-1], as for every running product
     tab = _omega_table(N)
     plan = scoring_plan(N, tab)
-    scores, bound = plan.scores(q)
+    scores, bound = plan.scores(q[plan.residues - 1])
     assert sorted(plan.z.tolist()) == list(range(1, (N - 1) // 2 + 1))
     # Rader: with k = g^i, z = g^m the scores are a cyclic convolution
     L = N - 1
@@ -128,7 +133,7 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
     q = 1.0 + W095.gamma(1) * tab[1:]
     for d in range(2, 61):
         if d in (2, 30, 60):
-            scores, bound = plan.scores(q)
+            scores, bound = plan.scores(q[plan.residues - 1])
             exact = np.array([q @ tab[k * z % N] for z in plan.z.tolist()])
             assert np.max(np.abs(scores - exact)) <= bound
             for z in plan.z.tolist()[:50]:
@@ -136,6 +141,109 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
         _accumulate_product(q, plan.column, v.z[d - 1], W095.gamma(d))
     if alpha is None and N > 61:  # at N = 61 omega stays below 4.6, q below 1e17
         assert np.max(np.abs(q)) > 1e20
+
+
+def _natural_fold_scores(plan, q):
+    """plan.scores of the natural-order running product q, computed as the
+    plan did before it kept q on its slots: the fold gathered from q, each
+    long block's pairs a_i, N - a_i in reverse order, the short blocks'
+    pairs, N/4 with 3N/4, then N/2 alone; the transforms, the row product
+    and the bound as in ScoringPlan.scores."""
+    N = q.shape[0] + 1
+    layout = unit_layout(N)
+    slots = [bl[(-np.arange(bl.shape[0])) % bl.shape[0]] if bl.shape[0] > ROW_SPAN else bl
+             for bl in layout.blocks]
+    fixed = layout.fixed[:0:-1]
+    paired = np.concatenate(slots + [fixed[:1]])
+    i1 = np.concatenate((paired, fixed[1:])) - 1
+    i2 = N - paired - 1
+    f = q[i1]
+    f[: i2.shape[0]] += q[i2]
+    eps = np.finfo(float).eps
+    bound = 0.0
+    if plan.levels:
+        spec = None
+        weight = 0.0
+        for lv in plan.levels:
+            a = f[lv.start : lv.stop]
+            term = np.fft.rfft(a, lv.length) * lv.K
+            if spec is None:
+                spec = term
+            else:
+                spec[:: lv.step] += term
+            weight += _norm(a) * lv.kernel_norm
+        sc = np.fft.irfft(spec, plan.size)[plan.offset : plan.offset + plan.z.shape[0]]
+        bound = 3 * 8 * eps * math.log2(max(plan.size, 2)) * weight
+    m = f.shape[0] - plan.short
+    if m:
+        fs = f[plan.short :]
+        part = plan.rows @ fs
+        if plan.levels:
+            sc.reshape(-1, part.shape[0])[...] += part
+        else:
+            sc = part
+        bound += (m + 1) * eps * _norm(fs) * plan.row_norm
+    return sc, bound
+
+
+@pytest.mark.parametrize("w", [W095, WJ2], ids=["0.95^j", "1/j^2"])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("N", [131, 8147, 8, 256, 2048, 1 << 14])
+def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
+    """Along a fast greedy run, the running product kept on the plan's slots
+    maps back to exactly the naive mode's natural-order q after every
+    component, and its scores and bound are exactly those of the fold
+    gathered from that q."""
+    s = 60
+    tab = fourier_decay_table(alpha, N)
+    gammas = power_weights(w, alpha).gammas[:s]
+    states = []
+    refined_argmin = cbc._refined_argmin
+
+    def recording(plan, p):
+        states.append((plan, p.copy()))
+        return refined_argmin(plan, p)
+
+    monkeypatch.setattr(cbc, "_refined_argmin", recording)
+    v = _cbc_greedy(N, s, gammas, tab, "fast")
+    assert len(states) == s - 1
+    column = _natural_column(unit_layout(N), tab)
+    q = 1.0 + gammas[0] * tab[1:]
+    for d, (plan, p) in enumerate(states, start=2):
+        assert np.array_equal(p[plan.natural], q), d
+        sc, bound = plan.scores(p)
+        ref, ref_bound = _natural_fold_scores(plan, q)
+        assert np.array_equal(sc, ref) and bound == ref_bound, d
+        _accumulate_product(q, column, v.z[d - 1], gammas[d - 1])
+
+
+@pytest.mark.parametrize("N", [61, 131, 8147, 64, 2048])
+def test_fast_mode_reads_columns_only_to_rescore(N, monkeypatch):
+    """The fast mode scores and updates on the slots; it reads a
+    natural-order column once per rescored candidate and never otherwise."""
+    gathers = []
+    columns = []
+
+    def counting_gather(q, column, z):
+        gathers.append(z)
+        return _gather_score(q, column, z)
+
+    def counting_plan(N, tab):
+        plan = scoring_plan(N, tab)
+
+        def column(z):
+            columns.append(z)
+            return plan.column(z)
+
+        return dataclasses.replace(plan, column=column)
+
+    monkeypatch.setattr(cbc, "_gather_score", counting_gather)
+    monkeypatch.setattr(cbc, "scoring_plan", counting_plan)
+    if N % 2:
+        construct_korobov_cbc(N, 30, W095)
+    construct_standard_cbc(N, 30, 2.0, power_weights(W095, 2.0))
+    assert gathers  # the second component rescores its tied candidates
+    assert columns == gathers
 
 
 @pytest.mark.parametrize("N", [8, 256, 61, 127])
@@ -154,7 +262,7 @@ def test_short_block_plans_call_no_fft(N, monkeypatch):
         monkeypatch.setattr(np.fft, name, no_fft)
     plan = scoring_plan(N, tab)
     assert not plan.levels
-    plan.scores(np.ones(N - 1))
+    plan.scores(np.ones(plan.residues.shape[0]))
     assert _cbc_greedy(N, 12, gammas, tab, "fast") == naive
 
 

@@ -12,6 +12,7 @@ import latgen
 from latgen.cbc import construct_korobov_cbc
 from latgen.cli import (
     VECTOR_MAGIC,
+    _build_parser,
     main,
     parse_weight_spec,
     read_vector,
@@ -130,6 +131,74 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "--algo", "std-cbc", "--N", "16", "--s", "2",
                  "--weights", "product:1/j^2", "--out", vec]) == 2
     capsys.readouterr()
+
+
+def _outcome(argv, capsys, out):
+    """main(argv)'s exit code (SystemExit's for a usage error), stdout,
+    stderr and the file it wrote at out, which is then removed."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    std = capsys.readouterr()
+    written = None
+    if os.path.exists(out):
+        with open(out) as fh:
+            written = fh.read()
+        os.remove(out)
+    return rc, std.out, std.err, written
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """One process reuses one parser; each call still gives what it gives
+    on a parser built for it alone."""
+    vec = str(tmp_path / "v.txt")
+    write_vector(vec, GeneratingVector(64, (1, 27, 13)))
+    out = str(tmp_path / "out.txt")
+    w = ["--weights", "product:1/j^2"]
+    error = ["error", "--vector", vec, "--alpha", "2", *w]
+    construct = ["construct", "--algo", "std-cbc", "--N", "31", "--s", "3", *w, "--out", out]
+    calls = [error + ["--format", "json"], error,
+             construct + ["--alpha", "2"], construct,
+             ["construct", "--algo", "dbd", "--n", "4", "--s", "2", *w, "--out", out],
+             ["construct", "--algo", "cbc-dbd", "--n", "4", "--s", "2", *w, "--out", out]]
+    _build_parser.cache_clear()
+    shared = [_outcome(argv, capsys, out) for argv in calls]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(_outcome(argv, capsys, out))
+    assert shared == alone
+    assert [rc for rc, *_ in shared] == [0, 0, 0, 2, 2, 0]
+    assert json.loads(shared[0][1])["N"] == 64 and shared[1][1].startswith("N = 64\n")
+    assert "requires --alpha" in shared[3][2] and shared[3][3] is None
+    assert "invalid choice" in shared[4][2]
+    assert shared[5][3].startswith(VECTOR_MAGIC)
+
+
+def test_threaded_sweep_equals_the_serial_one(tmp_path):
+    """With LATGEN_THREADS=2 a sweep runs its rows in a pool of two worker
+    processes; its CSV is the serial one but for the timing columns."""
+    argv = ["sweep", "--algo", "std-cbc", "--weights", "product:1/j^2",
+            "--alpha-list", "2", "--s", "5", "--n-range", "5..6"]
+    serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
+    assert main(argv + ["--out", serial]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latgen.__file__)))
+    env = dict(os.environ, LATGEN_THREADS="2", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = "import sys; from latgen.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", script, *argv, "--out", pooled],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    timing = [CSV_HEADER.index("construct_seconds"), CSV_HEADER.index("eval_seconds")]
+
+    def untimed(path):
+        with open(path) as fh:
+            return [[x for i, x in enumerate(r) if i not in timing] for r in csv.reader(fh)]
+
+    rows = untimed(serial)
+    assert len(rows) == 3
+    assert untimed(pooled) == rows
 
 
 def test_huge_modulus_exits_2_before_allocating(tmp_path, capsys):
