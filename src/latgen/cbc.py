@@ -227,31 +227,32 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
         raise ValueError("the fast mode needs a prime N >= 3 or N = 2^n >= 8")
     Q = layout.blocks[0].shape[0]
     long = [bl for bl in layout.blocks if bl.shape[0] > ROW_SPAN]
-    short = layout.blocks[len(long) :]
     convs = [convolver(tab[res]) for res in long]  # N = 2^n: power-of-two lengths
     levels = []
-    slots = []
-    start = 0
-    for res, conv, (doubled, L) in zip(long, convs, cols.doubled):
-        slots.append(res[(-np.arange(L)) % L])
+    order = []  # the layout slot behind each plan slot
+    start = 0  # the long blocks lead both orders
+    for conv, (doubled, L) in zip(convs, cols.doubled):
+        order.append(start + (-np.arange(L)) % L)
         levels.append(_Level(start=start, stop=start + L, length=conv.size,
                              K=(Q // L) * conv.spectrum, step=Q // L, kernel_norm=conv.norm,
                              doubled=doubled))
         start += L
-    slots.extend(short)
+    n_blocks = sum(bl.shape[0] for bl in layout.blocks)
+    n_short = n_blocks - start
+    order.append(np.arange(start, n_blocks))  # the short blocks as they are
     # The fixed slots follow the short blocks, as in cols.rows, but without
     # k = 0 (not in q) and reversed, so that the pairs come first: for
     # N = 2^n, N/4 (with 3N/4), then N/2.
-    slots.append(layout.fixed[:0:-1])
-    residues = np.concatenate(slots)
+    order.append(np.arange(layout.counts.shape[0] - 1, n_blocks, -1))
+    order = np.concatenate(order)
+    residues = np.concatenate(layout.blocks + (layout.fixed,))[order]
     slot_of = np.empty(N, dtype=np.int64)
     slot_of[residues] = slot_of[N - residues] = np.arange(residues.shape[0])
-    n_short = sum(bl.shape[0] for bl in short)
     rows = np.hstack((cols.rows[:, :n_short], cols.rows[:, : n_short : -1]))
     top = layout.blocks[0]
     size, offset = (convs[0].size, convs[0].offset) if convs else (0, 0)
     return ScoringPlan(z=np.minimum(top, N - top), residues=residues, natural=slot_of[1:],
-                       counts=np.where(2 * residues == N, 1.0, 2.0), levels=tuple(levels),
+                       counts=layout.counts[order], levels=tuple(levels),
                        size=size, offset=offset, short=start, rows=rows,
                        row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()),
                        column=_natural_column(layout, tab))

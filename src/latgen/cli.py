@@ -199,9 +199,11 @@ def cmd_experiments(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and then kept: building it takes about
-    a millisecond, a sizable part of a small call, and parse_args keeps no
-    state between calls."""
+    """The parser, built on first use and then kept; parse_args keeps no
+    state between calls. Building it takes about a millisecond, which only
+    a caller of main() that calls it again in the same process saves (an
+    in-process driver such as perfbench's loop, or the tests): a `latgen`
+    process calls main() once either way."""
     ap = argparse.ArgumentParser(prog="latgen",
                                  description="rank-1 lattice rule constructions")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -11,7 +11,6 @@ from latgen.cbc import (
     _cbc_greedy,
     _gather_score,
     _natural_column,
-    _norm,
     _omega_table,
     construct_korobov_cbc,
     construct_standard_cbc,
@@ -143,12 +142,11 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
         assert np.max(np.abs(q)) > 1e20
 
 
-def _natural_fold_scores(plan, q):
-    """plan.scores of the natural-order running product q, computed as the
-    plan did before it kept q on its slots: the fold gathered from q, each
-    long block's pairs a_i, N - a_i in reverse order, the short blocks'
-    pairs, N/4 with 3N/4, then N/2 alone; the transforms, the row product
-    and the bound as in ScoringPlan.scores."""
+def _natural_fold(q):
+    """The fold as the plan gathered it from the natural-order running
+    product q before it kept q on its slots: each long block's pairs
+    a_i, N - a_i in reverse order, the short blocks' pairs, N/4 with 3N/4,
+    then N/2 alone."""
     N = q.shape[0] + 1
     layout = unit_layout(N)
     slots = [bl[(-np.arange(bl.shape[0])) % bl.shape[0]] if bl.shape[0] > ROW_SPAN else bl
@@ -159,31 +157,7 @@ def _natural_fold_scores(plan, q):
     i2 = N - paired - 1
     f = q[i1]
     f[: i2.shape[0]] += q[i2]
-    eps = np.finfo(float).eps
-    bound = 0.0
-    if plan.levels:
-        spec = None
-        weight = 0.0
-        for lv in plan.levels:
-            a = f[lv.start : lv.stop]
-            term = np.fft.rfft(a, lv.length) * lv.K
-            if spec is None:
-                spec = term
-            else:
-                spec[:: lv.step] += term
-            weight += _norm(a) * lv.kernel_norm
-        sc = np.fft.irfft(spec, plan.size)[plan.offset : plan.offset + plan.z.shape[0]]
-        bound = 3 * 8 * eps * math.log2(max(plan.size, 2)) * weight
-    m = f.shape[0] - plan.short
-    if m:
-        fs = f[plan.short :]
-        part = plan.rows @ fs
-        if plan.levels:
-            sc.reshape(-1, part.shape[0])[...] += part
-        else:
-            sc = part
-        bound += (m + 1) * eps * _norm(fs) * plan.row_norm
-    return sc, bound
+    return f
 
 
 @pytest.mark.parametrize("w", [W095, WJ2], ids=["0.95^j", "1/j^2"])
@@ -211,8 +185,10 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     q = 1.0 + gammas[0] * tab[1:]
     for d, (plan, p) in enumerate(states, start=2):
         assert np.array_equal(p[plan.natural], q), d
+        f = _natural_fold(q)
+        assert np.array_equal(p * plan.counts, f), d
         sc, bound = plan.scores(p)
-        ref, ref_bound = _natural_fold_scores(plan, q)
+        ref, ref_bound = dataclasses.replace(plan, counts=np.ones_like(f)).scores(f)
         assert np.array_equal(sc, ref) and bound == ref_bound, d
         _accumulate_product(q, column, v.z[d - 1], gammas[d - 1])
 
