@@ -18,9 +18,7 @@ latgen._slowpath.product_sum). The numpy implementations in
 latgen._slowpath are the fallback: they are used when LATGEN_PURE=1 is set,
 the cache cannot be written, no compiler is found, or the compile fails.
 Both give the same doubles. BACKEND is "c" or "numpy"; BACKEND_REASON says
-which library was loaded or why the fallback was chosen. Nothing else is
-chosen here: the per-level walk that cbc_dbd.h_bar and update_p use comes
-straight from latgen._slowpath.
+which library was loaded or why the fallback was chosen.
 """
 
 import ctypes

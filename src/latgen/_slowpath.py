@@ -12,13 +12,8 @@ are +-5^i, i < L_t = 2^(t-2), and level t = 2..n holds one slot per +- pair,
 q[t-2][i] = q(r-1, t, 5^i mod 2^t). The kernel table is exactly symmetric, so
 q(t, k) == q(t, -k) bit for bit and N/2 - 1 slots hold the whole state.
 Every fold, score and update then reads contiguous slices (see dbd_fold and
-dbd_construct).
-
-dbd_score_pair and dbd_update are the per-level walk over the interleaved
-layout p[k * 2^(n-t) - 1] = q(r-1, t, k) that cbc_dbd.h_bar and update_p use
-on both backends; they are the per-bit reference the construction is tested
-against. Every kernel table here is kernel.kernel_table(2^n), indexed by
-residue.
+dbd_construct). Every kernel table here is kernel.kernel_table(2^n), indexed
+by residue.
 """
 
 import math
@@ -26,37 +21,6 @@ import math
 import numpy as np
 
 from .numtheory import unit_layout
-
-
-def dbd_score_pair(p, ktab, n, v, x0, gamma):
-    """Digit-wise quality of the two candidate bits at level v.
-
-    p[k * 2^(n-t) - 1] holds the running product q(r-1, t, k); ktab is the
-    log-sin table of modulus N = 2^n. Returns the pair of scores for
-    x0 and x0 + 2^(v-1), fused so the q gather is shared.
-    """
-    x1 = x0 + (1 << (v - 1))
-    mask = (1 << v) - 1
-    shift = n - v
-    s0 = 0.0
-    s1 = 0.0
-    scale = 1.0
-    for t in range(v, n + 1):
-        k = np.arange(1, 1 << t, 2, dtype=np.int64)
-        q = p[(k << (n - t)) - 1]
-        i0 = ((k * x0) & mask) << shift
-        i1 = ((k * x1) & mask) << shift
-        s0 += scale * float(q @ (1.0 + gamma * ktab[i0]))
-        s1 += scale * float(q @ (1.0 + gamma * ktab[i1]))
-        scale *= 0.5
-    return s0, s1
-
-
-def dbd_update(p, ktab, n, v, z, gamma):
-    """Fold the freshly selected bits into the level-v slots of p, in place."""
-    k = np.arange(1, 1 << v, 2, dtype=np.int64)
-    idx = ((k * z) & ((1 << v) - 1)) << (n - v)
-    p[(k << (n - v)) - 1] *= 1.0 + gamma * ktab[idx]
 
 
 def level_tables(ktab, n):
@@ -83,8 +47,9 @@ def dbd_fold(q, P):
     residues, so the sums are the same doubles.
 
     The level-v score of a candidate x = +-5^c mod 2^v is then
-    sum_i P_v[i] * (1 + gamma * K_v[c + i]), half of what dbd_score_pair
-    returns, for as long as only slots of levels below v change.
+    sum_i P_v[i] * (1 + gamma * K_v[c + i]), half of the sum over all odd
+    residues since each slot stands for a +- pair, for as long as only slots
+    of levels below v change.
     """
     P[-1] = q[-1]
     for v in range(len(q) - 1, 0, -1):

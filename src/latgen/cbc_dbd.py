@@ -1,47 +1,32 @@
 """Digit-by-digit component construction for moduli N = 2^n.
 
 Each component z_r is built one bit at a time, least significant bit first.
-The bit at level v is chosen to minimize the reduced digit-wise quality
-h_bar over the running products q(t, k), odd k < 2^t. construct_cbc_dbd keeps
-them on the unit layout of N (numtheory.unit_layout): level t holds one slot
-per +- pair of residues, in the order 5^i mod 2^t, so a candidate unit
-+-5^c only rotates the level's kernel values. Once per component, in O(N),
-the slots are folded into per-level sums, after which one bit costs
-O(2^(v-2)) contiguous reads, so a component costs O(N) and the whole vector
-O(s N) (latgen._slowpath has the details, _dbd.c the compiled twin).
-
-DigitState, h_bar and update_p are the per-bit reference: they keep the
-interleaved layout p[k * 2^(n-t) - 1], and h_bar walks p directly, in
-O(sum_t 2^(t-1)) per candidate. The full (general-weight) quality function h
-differs from h_bar only by the additive constant C(n, v), so both greedy
-paths agree; the slow subset-sum evaluation h_naive is kept as a
-differential oracle.
+The bit at level v is chosen to minimize the digit-wise quality h over the
+running products q(t, k), odd k < 2^t. construct_cbc_dbd keeps them on the
+unit layout of N (numtheory.unit_layout): level t holds one slot per +- pair
+of residues, in the order 5^i mod 2^t, so a candidate unit +-5^c only
+rotates the level's kernel values. Once per component, in O(N), the slots
+are folded into per-level sums, after which one bit costs O(2^(v-2))
+contiguous reads, so a component costs O(N) and the whole vector O(s N)
+(latgen._slowpath has the details, _dbd.c the compiled twin). For product
+weights a candidate's score differs from h by the factor 2 of the +- pairs
+and an additive constant that depends only on n and v, so minimizing either
+picks the same bit; h_naive evaluates h as the subset sum that defines it,
+the differential oracle the construction is tested against.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Tuple
 
 import numpy as np
 
 from . import _kernels
-from ._slowpath import dbd_score_pair, dbd_update
 from .error import lattice_kernel_sum
 from .kernel import kernel_table
 from .numtheory import GeneratingVector
 from .weights import ProductWeights, weight_of
 
-__all__ = [
-    "DigitState",
-    "new_digit_state",
-    "h_bar",
-    "h_naive",
-    "update_p",
-    "construct_cbc_dbd",
-    "C_constant",
-    "H_quantity",
-]
+__all__ = ["h_naive", "construct_cbc_dbd", "H_quantity"]
 
 #: h_naive enumerates subsets of {1..r-1}; keep that tractable.
 H_NAIVE_MAX_R = 12
@@ -57,69 +42,6 @@ H_NAIVE_MAX_R = 12
 #: margins within about eps * sum_i |P_v[i] (K1 - K0)| of the threshold.
 #: Scoring one slot per +- pair halves both sides of the comparison.
 TIE_RTOL = 1e-12
-
-
-@dataclass
-class DigitState:
-    """Construction state: p[k * 2^(n-t) - 1] = q(r, t, k) for t = 1..n, odd k < 2^t;
-    table is kernel_table(2^n)."""
-
-    n: int
-    table: np.ndarray
-    p: np.ndarray
-    r: int
-    gammas: Tuple[float, ...]
-
-    @property
-    def N(self) -> int:
-        return 1 << self.n
-
-
-def new_digit_state(n: int, w: ProductWeights) -> DigitState:
-    """State after the first component z_1 = 1 has been incorporated.
-
-    The slot for (t, k) holds 1 + gamma_1 * ln(1/sin^2(pi k / 2^t)), which is
-    exactly the kernel table entry at residue k * 2^(n-t): the t = 1 slot
-    lands on sin^2(pi/2) = 1 and so equals 1.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    table = kernel_table(1 << n)
-    return DigitState(n=n, table=table, p=1.0 + w.gamma(1) * table[1:], r=1,
-                      gammas=w.gammas)
-
-
-def C_constant(n: int, v: int) -> float:
-    """Additive constant linking the two quality evaluations:
-    h_naive(x) - h_bar(x) = C(n, v) = -sum_{t=v}^{n} 2^(v-t) * 2^(t-1).
-    """
-    return -float(1 << (v - 1)) * (n - v + 1)
-
-
-def _check_bit_args(n: int, v: int, x: int):
-    if not 2 <= v <= n:
-        raise ValueError("bit level v must satisfy 2 <= v <= n")
-    if x % 2 == 0:
-        raise ValueError("candidate x must be odd")
-    if not 0 < x < (1 << v):
-        raise ValueError("candidate x must lie in (0, 2^v)")
-
-
-def h_bar(state: DigitState, r: int, v: int, x: int, gamma_r: float) -> float:
-    """Reduced digit-wise quality of candidate x for component r at bit level v."""
-    _check_bit_args(state.n, v, x)
-    half = 1 << (v - 1)
-    base = x if x < half else x - half
-    s0, s1 = dbd_score_pair(state.p, state.table, state.n, v, base, gamma_r)
-    return s0 if x < half else s1
-
-
-def update_p(state: DigitState, r: int, v: int, z_rv: int) -> DigitState:
-    """Multiply the level-v slots of p by (1 + gamma_r ln(1/sin^2(pi k z_rv / 2^v)))."""
-    _check_bit_args(state.n, v, z_rv)
-    gamma_r = state.gammas[r - 1]
-    dbd_update(state.p, state.table, state.n, v, z_rv, gamma_r)
-    return state
 
 
 def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
@@ -155,7 +77,12 @@ def h_naive(r: int, n: int, v: int, x: int, z_prev, w) -> float:
     """
     if r > H_NAIVE_MAX_R:
         raise ValueError("h_naive capped at r <= %d" % H_NAIVE_MAX_R)
-    _check_bit_args(n, v, x)
+    if not 2 <= v <= n:
+        raise ValueError("bit level v must satisfy 2 <= v <= n")
+    if x % 2 == 0:
+        raise ValueError("candidate x must be odd")
+    if not 0 < x < (1 << v):
+        raise ValueError("candidate x must lie in (0, 2^v)")
     if len(z_prev) != r - 1:
         raise ValueError("need exactly r-1 previous components")
     if any(zj % 2 == 0 for zj in z_prev):

@@ -44,7 +44,6 @@ __all__ = [
     "bound_thm_existence",
     "bound_thm_cbcdbd",
     "bound_thm_cbc",
-    "dual_indicator",
 ]
 
 #: wce_bruteforce enumerates (2M-1)^s points.
@@ -93,13 +92,6 @@ def wce_product(v: GeneratingVector, alpha: float, w, layout=None) -> float:
     if alpha <= 1.0:
         raise ValueError("requires alpha > 1")
     return lattice_kernel_sum(v, fourier_decay_table(alpha, v.N), w, layout) / v.N
-
-
-def dual_indicator(m, v: GeneratingVector) -> int:
-    """1 iff m . z = 0 (mod N)."""
-    if len(m) != v.s:
-        raise ValueError("m must have the vector's dimension")
-    return int(sum(mj * zj for mj, zj in zip(m, v.z)) % v.N == 0)
 
 
 def wce_bruteforce(v: GeneratingVector, alpha: float, w, M: int) -> ErrorInterval:

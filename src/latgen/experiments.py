@@ -19,10 +19,10 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .cbc import construct_korobov_cbc, construct_standard_cbc
-from .cbc_dbd import C_constant, construct_cbc_dbd, h_bar, h_naive, new_digit_state, update_p
+from .cbc_dbd import construct_cbc_dbd, h_naive
 from .error import vartheta_table, wce_bruteforce, wce_product
 from .kernel import vartheta_truncated
-from .numtheory import prev_prime
+from .numtheory import GeneratingVector, prev_prime
 from .sweep import sweep_row, write_sweep_csv
 from .weights import GeneralWeights, ProductWeights, power_weights
 
@@ -219,25 +219,23 @@ def _run_oracles(cfg: ExperimentConfig, out_dir: str):
     checks = []
     rng = np.random.default_rng(20240)
 
-    # digit-wise quality: direct subset sum vs running-product evaluation
+    # digit-wise quality: every bit the construction set scores no worse
+    # under the direct subset sum than the other bit
     w = ProductWeights(tuple(1.0 / j**2 for j in range(1, 5)))
-    worst = 0.0
+    decisions, worse = 0, []
     for n in (3, 4, 5):
-        state = new_digit_state(n, w)
-        z_prev = [1]
+        z = construct_cbc_dbd(n, 3, w).z
         for r in (2, 3):
-            zr = 1
             for v in range(2, n + 1):
-                for bit in (0, 1):
-                    x = zr + (bit << (v - 1))
-                    fast = h_bar(state, r, v, x, w.gamma(r))
-                    slow = h_naive(r, n, v, x, z_prev, w)
-                    expect = slow - C_constant(n, v)
-                    worst = max(worst, abs(fast - expect) / max(1.0, abs(expect)))
-                update_p(state, r, v, zr)
-            z_prev.append(zr)
-    _check(checks, "cbc-dbd digit quality vs subset oracle", worst < 1e-10,
-           "max rel dev %.2e" % worst)
+                low = z[r - 1] & ((1 << v) - 1)
+                chosen = h_naive(r, n, v, low, z[: r - 1], w)
+                other = h_naive(r, n, v, low ^ (1 << (v - 1)), z[: r - 1], w)
+                decisions += 1
+                if chosen > other + 1e-9 * abs(other):
+                    worse.append("n=%d r=%d v=%d" % (n, r, v))
+    _check(checks, "cbc-dbd digit quality vs subset oracle", not worse,
+           "%d bit decisions, %d worse than the other bit %s"
+           % (decisions, len(worse), worse))
 
     # whole-component CBC: fast and naive modes pick identical vectors
     agree = True
@@ -259,7 +257,6 @@ def _run_oracles(cfg: ExperimentConfig, out_dir: str):
         for s in (1, 2):
             gw = GeneralWeights.from_product(ProductWeights(w.gammas[:s]))
             z = tuple(int(zz) for zz in 1 + 2 * rng.integers(0, N // 2, size=s))
-            from .numtheory import GeneratingVector
             v = GeneratingVector(N, z)
             exact = wce_product(v, 2.0, ProductWeights(w.gammas[:s]))
             box = wce_bruteforce(v, 2.0, gw, M=64)

@@ -27,7 +27,6 @@ __all__ = [
     "gcd",
     "is_prime",
     "prev_prime",
-    "next_prime",
     "primitive_root",
     "GeneratingVector",
     "lattice_points",
@@ -90,14 +89,6 @@ def prev_prime(n: int) -> int:
     k = n
     while not is_prime(k):
         k -= 1
-    return k
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
-    k = max(n, 2)
-    while not is_prime(k):
-        k += 1
     return k
 
 

@@ -10,7 +10,7 @@ parse_weight_spec reads the weight grammar of the CLI and the sweeps.
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "WeightSpec",
     "parse_weight_spec",
     "weight_of",
-    "r_alpha_gamma",
     "power_weights",
     "subset_product_sum",
 ]
@@ -103,15 +102,6 @@ def weight_of(u, w: Weights) -> float:
     if u and max(u) > w.s:
         raise ValueError("subset %r out of range for s=%d" % (set(u), w.s))
     return math.prod(w.gamma(j) for j in u)
-
-
-def r_alpha_gamma(m: Sequence[int], alpha: float, w: Weights) -> float:
-    """gamma_supp(m)^-1 * prod_{j in supp(m)} |m_j|^alpha; equals 1 at m = 0."""
-    supp = frozenset(j for j, mj in enumerate(m, start=1) if mj != 0)
-    if not supp:
-        return 1.0
-    prod = math.prod(abs(m[j - 1]) ** alpha for j in supp)
-    return prod / weight_of(supp, w)
 
 
 def _power(g: float, p: float, j: int) -> float:

@@ -1,6 +1,5 @@
 """Interchangeable implementations must agree: the C kernel and the numpy
-fallback, the per-component level fold and the per-level walk, and the
-vectorized products and their plain loops."""
+fallback, and the vectorized products and their plain loops."""
 
 import os
 import subprocess
@@ -20,63 +19,6 @@ def test_backend_is_reported():
     assert latgen.BACKEND in ("c", "numpy")
     assert _kernels.BACKEND == latgen.BACKEND
     assert latgen.BACKEND_REASON
-
-
-def _random_state(n, seed):
-    rng = np.random.default_rng(seed)
-    N = 1 << n
-    p = rng.uniform(0.5, 2.0, size=N - 1)
-    ktab = kernel_table(N)
-    return p, ktab
-
-
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_dbd_score_pair_backends_agree(n):
-    """The level sums of a +--symmetric state, folded once on the unit layout
-    at the start of a component, give the walk's score pair at every level
-    (each slot stands for a +- pair, so twice their sum), while the levels
-    below are updated; a candidate +-5^c meets the slice of the level's
-    doubled table that starts at c."""
-    rng = np.random.default_rng(n)
-    N = 1 << n
-    ktab = kernel_table(N)
-    res, K = _slowpath.level_tables(ktab, n)
-    q = [rng.uniform(0.5, 2.0, size=r.shape[0]) for r in res]
-    p = np.ones(N - 1)  # the interleaved layout; its level-1 slot is never read
-    for qv, r in zip(q, res):
-        p[r - 1] = qv
-        p[N - r - 1] = qv
-    gamma = 0.37
-    P = [None] * len(q)
-    _slowpath.dbd_fold(q, P)
-    zr = 1
-    for v in range(2, n + 1):
-        half, L = 1 << (v - 1), 1 << (v - 2)
-        units = (res[v - 2] >> (n - v)).tolist()  # 5^i mod 2^v
-        Pv = P[v - 2]
-        for x0 in range(1, half, 2):
-            pair = []
-            for x in (x0, x0 + half):
-                col = [ktab[(k * x % (1 << v)) << (n - v)] for k in units]
-                c = next(c for c, u in enumerate(units) if u in (x, (1 << v) - x))
-                assert np.array_equal(K[v - 2][c : c + L], col)
-                pair.append(2 * sum(Pv[i] * (1.0 + gamma * col[i]) for i in range(L)))
-            walk = _slowpath.dbd_score_pair(p, ktab, n, v, x0, gamma)
-            assert walk == pytest.approx(pair, rel=1e-12)
-        zr += half * (v % 2)  # any bits will do; the fold must not see them
-        _slowpath.dbd_update(p, ktab, n, v, zr, gamma)
-
-
-@pytest.mark.parametrize("n", [3, 6])
-def test_dbd_update_backends_agree(n):
-    p1, ktab = _random_state(n, 10 + n)
-    p2 = p1.copy()
-    for v in range(2, n + 1):
-        z = (1 << v) - 1
-        _slowpath.dbd_update(p1, ktab, n, v, z, 0.2)
-        for k in range(1, 1 << v, 2):
-            p2[k * (1 << (n - v)) - 1] *= 1.0 + 0.2 * ktab[(k * z % (1 << v)) << (n - v)]
-    assert np.array_equal(p1, p2)
 
 
 def test_accumulate_and_gather_backends_agree():

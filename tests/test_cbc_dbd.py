@@ -4,74 +4,13 @@ import numpy as np
 import pytest
 
 from latgen import _kernels, _slowpath
-from latgen.cbc_dbd import (
-    TIE_RTOL,
-    C_constant,
-    DigitState,
-    H_quantity,
-    construct_cbc_dbd,
-    h_bar,
-    h_naive,
-    new_digit_state,
-    update_p,
-)
+from latgen.cbc_dbd import TIE_RTOL, H_quantity, construct_cbc_dbd, h_naive
 from latgen.kernel import kernel_table, log_inv_sin2
 from latgen.numtheory import GeneratingVector
 from latgen.weights import GeneralWeights, ProductWeights
 
 W3 = ProductWeights((1.0, 0.25, 1.0 / 9.0))
 W_DECAY = ProductWeights(tuple(1.0 / j**2 for j in range(1, 9)))
-
-
-def test_new_digit_state_layout():
-    n = 4
-    state = new_digit_state(n, W3)
-    assert state.N == 16
-    assert state.r == 1
-    assert state.p.shape == (15,)
-    # slot for (t, k): p[k * 2^(n-t) - 1] = 1 + gamma_1 ln(1/sin^2(pi k / 2^t))
-    for t in range(1, n + 1):
-        for k in range(1, 1 << t, 2):
-            idx = k * (1 << (n - t)) - 1
-            expect = 1.0 + W3.gamma(1) * log_inv_sin2(k / (1 << t))
-            assert state.p[idx] == pytest.approx(expect, rel=1e-12)
-
-
-def test_c_constant():
-    assert C_constant(4, 2) == -2.0 * 3  # -2^(v-1) (n-v+1)
-    assert C_constant(6, 2) == -10.0
-    assert C_constant(5, 5) == -16.0
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_h_bar_offset_from_h_naive(n):
-    """h_naive(x) - h_bar(x) must equal C(n, v) for every candidate."""
-    w = W_DECAY
-    state = new_digit_state(n, w)
-    r = 2
-    for v in range(2, n + 1):
-        picked = None
-        for x in range(1, 1 << v, 2):
-            hb = h_bar(state, r, v, x, w.gamma(r))
-            hn = h_naive(r, n, v, x, (1,), w)
-            assert hn - hb == pytest.approx(C_constant(n, v), rel=1e-9, abs=1e-9)
-        # advance the state along the greedy choice so later levels are valid
-        best = min(
-            range(1, 1 << v, 2), key=lambda x: (h_bar(state, r, v, x, w.gamma(r)), x)
-        )
-        update_p(state, r, v, best)
-        picked = best
-    assert picked is not None
-
-
-def test_h_bar_validates_arguments():
-    state = new_digit_state(4, W3)
-    with pytest.raises(ValueError):
-        h_bar(state, 2, 1, 1, 0.5)  # v must be >= 2
-    with pytest.raises(ValueError):
-        h_bar(state, 2, 2, 2, 0.5)  # even candidate
-    with pytest.raises(ValueError):
-        h_bar(state, 2, 2, 5, 0.5)  # out of range for level 2
 
 
 def test_construct_cbc_dbd_basic_properties():
@@ -159,6 +98,19 @@ def test_h_naive_general_weights_reduces_to_product():
         assert h_naive(r, n, vlev, x, (1, 3), w) == pytest.approx(
             h_naive(r, n, vlev, x, (1, 3), g), rel=1e-12
         )
+
+
+def test_h_naive_validates_arguments():
+    with pytest.raises(ValueError):
+        h_naive(2, 4, 1, 1, (1,), W3)  # v must be >= 2
+    with pytest.raises(ValueError):
+        h_naive(2, 4, 2, 2, (1,), W3)  # even candidate
+    with pytest.raises(ValueError):
+        h_naive(2, 4, 2, 5, (1,), W3)  # out of range for level 2
+    with pytest.raises(ValueError):
+        h_naive(3, 4, 2, 1, (1,), W3)  # needs r - 1 previous components
+    with pytest.raises(ValueError):
+        h_naive(3, 4, 2, 1, (1, 2), W3)  # previous components must be odd
 
 
 def test_H_quantity_closed_form_s1():

@@ -13,7 +13,6 @@ from latgen.error import (
     bound_thm_cbc,
     bound_thm_cbcdbd,
     bound_thm_existence,
-    dual_indicator,
     lattice_kernel_sum,
     vartheta_table,
     wce_bruteforce,
@@ -70,15 +69,6 @@ def test_wce_bruteforce_guards():
         wce_bruteforce(v, 2.0, W, M=1)
     with pytest.raises(ValueError):
         wce_bruteforce(GeneratingVector(8, tuple([1] * 10)), 2.0, W, M=100)
-
-
-def test_dual_indicator():
-    v = GeneratingVector(8, (1, 3))
-    assert dual_indicator((8, 0), v) == 1
-    assert dual_indicator((2, 2), v) == 1  # 2 + 6 = 8 = 0 mod 8
-    assert dual_indicator((1, 0), v) == 0
-    with pytest.raises(ValueError):
-        dual_indicator((1,), v)
 
 
 @pytest.mark.parametrize("N", [8, 13, 64])

@@ -8,7 +8,6 @@ from latgen.numtheory import (
     gcd,
     is_prime,
     lattice_points,
-    next_prime,
     prev_prime,
     primitive_root,
     UnitColumns,
@@ -41,8 +40,6 @@ def test_prev_next_prime():
     assert prev_prime(64) == 61
     assert prev_prime(128) == 127
     assert prev_prime(256) == 251
-    assert next_prime(61) == 61
-    assert next_prime(62) == 67
     assert prev_prime(61) == 61
     assert prev_prime(4) == 3
     with pytest.raises(ValueError):

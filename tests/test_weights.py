@@ -10,7 +10,6 @@ from latgen.weights import (
     ProductWeights,
     WeightSpec,
     power_weights,
-    r_alpha_gamma,
     subset_product_sum,
     weight_of,
 )
@@ -71,13 +70,6 @@ def test_general_from_product_agrees():
 def test_general_weights_dimension_cap():
     with pytest.raises(ValueError):
         GeneralWeights(21, {frozenset(): 1.0})
-
-
-def test_r_alpha_gamma():
-    w = ProductWeights((0.5, 0.25))
-    assert r_alpha_gamma((0, 0), 2.0, w) == 1.0
-    assert r_alpha_gamma((3, 0), 2.0, w) == pytest.approx(9.0 / 0.5)
-    assert r_alpha_gamma((-3, 2), 2.0, w) == pytest.approx(9.0 * 4.0 / (0.5 * 0.25))
 
 
 @given(
