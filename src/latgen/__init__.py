@@ -16,7 +16,6 @@ from .error import (
     bound_thm_cbc,
     bound_thm_cbcdbd,
     bound_thm_existence,
-    wce_bruteforce,
     wce_product,
 )
 from .numtheory import GeneratingVector
@@ -39,7 +38,6 @@ __all__ = [
     "T_quantity",
     "T_alpha_quantity",
     "wce_product",
-    "wce_bruteforce",
     "bound_thm_existence",
     "bound_thm_cbcdbd",
     "bound_thm_cbc",

@@ -6,10 +6,10 @@ power-of-two N). Component d minimizes, over the candidates z, the score
 sum_{k=1}^{N-1} q[k-1] * tab[(k z) mod N], where q is the running product
 over the earlier components.
 
-The fast mode is Nuyens and Cools' fast CBC. `scoring_plan` builds, once per
-construction, the slot layout of the state, the spectra of the long blocks'
-kernels and the row table of the short ones. The tables are exactly
-symmetric, so q[k-1] == q[N-k-1] bit for bit, and the state p keeps one slot
+Both constructions run Nuyens and Cools' fast CBC. `scoring_plan` builds,
+once per construction, the slot layout of the state, the spectra of the
+long blocks' kernels and the row table of the short ones. The tables are
+exactly symmetric, so q[k-1] == q[N-k-1] bit for bit, and the state p keeps one slot
 per +- pair of residues: the blocks of numtheory.unit_layout, then the fixed
 residues. Every unit z = +-g^b (+-5^b) rotates each block by b, and the
 scores of z and N - z are bit-equal, so only z <= N/2 are scored, in the
@@ -35,16 +35,19 @@ at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
   k = 0 is not in q): their score at rotation b is rows[b] @ fold, one
   matrix-vector product with the row table of numtheory.UnitColumns, which
   repeats with the longest short block. Prime N <= 127 and N = 2^n <= 256
-  have no long block and run no transform.
+  have no long block and run no transform; N = 2 and 4 have no block at
+  all, and their one candidate z = 1 is scored by the fixed slots alone.
 
 Each score vector comes with a bound on its rounding error, the transforms'
 plus the dot products'. A lone candidate within twice that bound of the
-minimum is the naive mode's choice and is taken as it is; when several are,
-each is rescored with the exact gather sum, and the smallest z wins ties.
-While each score lies within the bound of its gather sum, the naive mode's
-choice is among the rescored candidates, so the fast mode selects the same
-vectors as the naive O(N^2) mode. Scores that are not finite mean q left
-double range; both modes then raise a ValueError naming the component.
+minimum is the exact gather sum's choice and is taken as it is; when several
+are, each is rescored with the exact gather sum, and the smallest z wins
+ties. While each score lies within the bound of its gather sum, the gather
+sum's choice is among the rescored candidates, so the constructions select
+the same vectors as the O(N^2) CBC over natural-order gathers
+(latgen.oracles.cbc_naive, the reference they are tested against). Scores
+that are not finite mean q left double range; the construction then raises
+a ValueError naming the component.
 """
 
 import math
@@ -98,12 +101,6 @@ def V_quality(v: GeneratingVector, w) -> float:
     The lattice sum's k = 0 term is zero, since the table stores 0 at a = 0.
     """
     return lattice_kernel_sum(v, _omega_table(v.N), w)
-
-
-def _accumulate_product(q: np.ndarray, column, z: int, gamma: float):
-    """q[k-1] *= 1 + gamma * tab[k z mod N] for k = 1..N-1, in place; column
-    is _natural_column(layout, tab)."""
-    q *= 1.0 + gamma * column(z)
 
 
 def _gather_score(q: np.ndarray, column, z: int) -> float:
@@ -212,20 +209,22 @@ class ScoringPlan:
 
 
 def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
-    """The scoring plan for prime N >= 3 or N = 2^n >= 8; tab is the
+    """The scoring plan for prime N >= 3 or N = 2^n >= 2; tab is the
     residue-indexed, exactly symmetric kernel table (tab[a] == tab[N - a]).
 
     Each block of unit_layout(N) longer than ROW_SPAN is one level: its
     residues a_i order the kernel, and its slots hold the pairs a_i, N - a_i
     in reverse order. The shorter blocks and the fixed residues other than 0
     are scored by the rows of UnitColumns, the table the lattice sums read.
+    N = 2 and 4 have no block; their one candidate is z = 1.
     """
     layout = unit_layout(N)
     cols = UnitColumns(layout, tab)
     tab = cols.tab
-    if not layout.blocks:
-        raise ValueError("the fast mode needs a prime N >= 3 or N = 2^n >= 8")
-    Q = layout.blocks[0].shape[0]
+    if not layout.cyclic:
+        raise ValueError("the fast CBC needs a prime N >= 3 or N = 2^n")
+    top = layout.blocks[0] if layout.blocks else np.ones(1, dtype=np.int64)
+    Q = top.shape[0]
     long = [bl for bl in layout.blocks if bl.shape[0] > ROW_SPAN]
     convs = [convolver(tab[res]) for res in long]  # N = 2^n: power-of-two lengths
     levels = []
@@ -249,7 +248,6 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     slot_of = np.empty(N, dtype=np.int64)
     slot_of[residues] = slot_of[N - residues] = np.arange(residues.shape[0])
     rows = np.hstack((cols.rows[:, :n_short], cols.rows[:, : n_short : -1]))
-    top = layout.blocks[0]
     size, offset = (convs[0].size, convs[0].offset) if convs else (0, 0)
     return ScoringPlan(z=np.minimum(top, N - top), residues=residues, natural=slot_of[1:],
                        counts=layout.counts[order], levels=tuple(levels),
@@ -285,52 +283,27 @@ def _refined_argmin(plan: ScoringPlan, p: np.ndarray):
     return best
 
 
-def _naive_argmin(q: np.ndarray, column, z_candidates: np.ndarray):
-    """The z of least gather sum, smallest z winning ties, or None if the
-    sums are not finite."""
-    vals = np.array([_gather_score(q, column, int(zz)) for zz in z_candidates])
-    return int(z_candidates[int(np.argmin(vals))]) if math.isfinite(vals.min()) else None
-
-
-def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray, mode: str):
-    """Shared greedy loop; tab is the residue-indexed kernel table. The fast
-    mode keeps the running product on the plan's slots, the naive mode in
-    natural order."""
-    if mode not in ("fast", "naive"):
-        raise ValueError("mode must be 'fast' or 'naive'")
-    power_of_two = N & (N - 1) == 0
-    plan = None
-    if mode == "fast" and (not power_of_two or N >= 8):
-        plan = scoring_plan(N, tab)
-    else:
-        column = _natural_column(unit_layout(N), tab)
-        z_candidates = np.arange(1, N, 2 if power_of_two else 1, dtype=np.int64)
+def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray):
+    """Shared greedy loop; tab is the residue-indexed kernel table. The
+    running product is kept on the plan's slots."""
+    plan = scoring_plan(N, tab)
     z = [1]
     # q leaving double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        q = 1.0 + gammas[0] * (tab[1:] if plan is None else tab[plan.residues])
+        q = 1.0 + gammas[0] * tab[plan.residues]
         for d in range(2, s + 1):
-            if plan is not None:
-                b = _refined_argmin(plan, q)
-                zd = None if b is None else int(plan.z[b])
-            else:
-                zd = _naive_argmin(q, column, z_candidates)
-            if zd is None:
+            b = _refined_argmin(plan, q)
+            if b is None:
                 raise ValueError(
                     "the running product q left double range after component %d, "
                     "so no z_%d can be chosen: the weights are too large" % (d - 1, d))
-            z.append(zd)
+            z.append(int(plan.z[b]))
             if d < s:
-                if plan is not None:
-                    plan.update(q, b, gammas[d - 1])
-                else:
-                    _accumulate_product(q, column, zd, gammas[d - 1])
+                plan.update(q, b, gammas[d - 1])
     return GeneratingVector(N, tuple(z))
 
 
-def construct_korobov_cbc(
-    N: int, s: int, w: ProductWeights, mode: str = "fast"
-) -> GeneratingVector:
+def construct_korobov_cbc(N: int, s: int, w: ProductWeights) -> GeneratingVector:
     """Greedy per-component minimization of the log-sine quality V, prime N."""
     if not is_prime(N) or N < 3:
         raise ValueError("N must be prime (>= 3)")
@@ -339,11 +312,11 @@ def construct_korobov_cbc(
     if w.s < s:
         raise ValueError("weight sequence shorter than requested dimension")
     tab = _omega_table(N)
-    return _cbc_greedy(N, s, w.gammas[:s], tab, mode)
+    return _cbc_greedy(N, s, w.gammas[:s], tab)
 
 
 def construct_standard_cbc(
-    N: int, s: int, alpha: float, w_alpha: ProductWeights, mode: str = "fast"
+    N: int, s: int, alpha: float, w_alpha: ProductWeights
 ) -> GeneratingVector:
     """Greedy per-component minimization of the worst-case error itself.
 
@@ -360,4 +333,4 @@ def construct_standard_cbc(
     if not power_of_two and not (is_prime(N) and N >= 3):
         raise ValueError("N must be prime or a power of two")
     tab = fourier_decay_table(alpha, N)
-    return _cbc_greedy(N, s, w_alpha.gammas[:s], tab, mode)
+    return _cbc_greedy(N, s, w_alpha.gammas[:s], tab)

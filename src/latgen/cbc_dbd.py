@@ -11,25 +11,17 @@ contiguous reads, so a component costs O(N) and the whole vector O(s N)
 (latgen._slowpath has the details, _dbd.c the compiled twin). For product
 weights a candidate's score differs from h by the factor 2 of the +- pairs
 and an additive constant that depends only on n and v, so minimizing either
-picks the same bit; h_naive evaluates h as the subset sum that defines it,
-the differential oracle the construction is tested against.
+picks the same bit; latgen.oracles.h_naive evaluates h as the subset sum
+that defines it, the differential oracle the construction is tested against.
 """
-
-import math
-from itertools import combinations
-
-import numpy as np
 
 from . import _kernels
 from .error import lattice_kernel_sum
 from .kernel import kernel_table
 from .numtheory import GeneratingVector
-from .weights import ProductWeights, weight_of
+from .weights import ProductWeights
 
-__all__ = ["h_naive", "construct_cbc_dbd", "H_quantity"]
-
-#: h_naive enumerates subsets of {1..r-1}; keep that tractable.
-H_NAIVE_MAX_R = 12
+__all__ = ["construct_cbc_dbd", "H_quantity"]
 
 #: Relative margin by which bit 1 must beat bit 0. Exact ties are common (at
 #: v = 2, x and -x mod 4 always tie); without a margin they would be decided
@@ -67,50 +59,6 @@ def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
                 % (len(built) + 2))
         z[1:] = built
     return GeneratingVector(1 << n, tuple(z))
-
-
-def h_naive(r: int, n: int, v: int, x: int, z_prev, w) -> float:
-    """Direct subset-sum evaluation of the digit-wise quality function.
-
-    Test oracle only: cost grows with 2^r and sum_t 2^t. Accepts general or
-    product weights (looked up through weight_of).
-    """
-    if r > H_NAIVE_MAX_R:
-        raise ValueError("h_naive capped at r <= %d" % H_NAIVE_MAX_R)
-    if not 2 <= v <= n:
-        raise ValueError("bit level v must satisfy 2 <= v <= n")
-    if x % 2 == 0:
-        raise ValueError("candidate x must be odd")
-    if not 0 < x < (1 << v):
-        raise ValueError("candidate x must lie in (0, 2^v)")
-    if len(z_prev) != r - 1:
-        raise ValueError("need exactly r-1 previous components")
-    if any(zj % 2 == 0 for zj in z_prev):
-        raise ValueError("previous components must be odd")
-    prev = list(range(1, r))
-    subsets = [
-        frozenset(u) for size in range(r) for u in combinations(prev, size)
-    ]
-    total = []
-    for t in range(v, n + 1):
-        mod_t = 1 << t
-        k = np.arange(1, mod_t, 2, dtype=np.int64)
-        L = {
-            j: -2.0 * np.log(np.sin(np.pi * ((k * z_prev[j - 1]) % mod_t) / mod_t))
-            for j in prev
-        }
-        mod_v = 1 << v
-        Lx = -2.0 * np.log(np.sin(np.pi * ((k * x) % mod_v) / mod_v))
-        inner = np.zeros(k.shape[0])
-        for u in subsets:
-            prod = np.ones(k.shape[0])
-            for j in u:
-                prod = prod * L[j]
-            if u:
-                inner += weight_of(u, w) * prod
-            inner += weight_of(u | {r}, w) * Lx * prod
-        total.append(2.0 ** (v - t) * float(inner.sum()))
-    return math.fsum(total)
 
 
 def H_quantity(v: GeneratingVector, w) -> float:

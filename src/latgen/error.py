@@ -6,9 +6,9 @@ worst-case error e (through the character property) and the truncated-kernel
 measures T and T_alpha here, H and V in the construction modules. The
 theorem-bound evaluators, the right-hand sides the constructions are
 guaranteed to satisfy, are the same weighted sum over one-point columns; both
-go through weights.subset_product_sum. wce_bruteforce enumerates the dual
-lattice inside a box and returns a value plus a rigorous tail bound, serving
-as the differential oracle.
+go through weights.subset_product_sum. latgen.oracles.wce_bruteforce
+enumerates the dual lattice inside a box and returns a value plus a rigorous
+tail bound, the differential oracle e is tested against.
 
 lattice_kernel_sum visits k in the order of numtheory.unit_layout(N). For
 prime N and N = 2^n every column is then a few slices of one buffer
@@ -23,21 +23,17 @@ and T) build the layout once and pass it.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .kernel import fourier_decay_table, zeta
+from .kernel import fourier_decay_table
 from .numtheory import ColumnSlices, GeneratingVector, UnitColumns, unit_layout
 from .spectral import cosine_dft
-from .weights import subset_product_sum, weight_of
+from .weights import subset_product_sum
 
 __all__ = [
-    "ErrorInterval",
     "lattice_kernel_sum",
     "wce_product",
-    "wce_bruteforce",
     "vartheta_table",
     "T_quantity",
     "T_alpha_quantity",
@@ -45,29 +41,6 @@ __all__ = [
     "bound_thm_cbcdbd",
     "bound_thm_cbc",
 ]
-
-#: wce_bruteforce enumerates (2M-1)^s points.
-BRUTEFORCE_MAX_POINTS = 40_000_000
-
-
-@dataclass(frozen=True)
-class ErrorInterval:
-    """value plus a guarantee |true - value| <= tail_bound."""
-
-    value: float
-    tail_bound: float
-
-    def __post_init__(self):
-        if self.tail_bound < 0.0:
-            raise ValueError("tail_bound must be nonnegative")
-
-    @property
-    def lower(self) -> float:
-        return self.value - self.tail_bound
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.tail_bound
 
 
 def lattice_kernel_sum(v: GeneratingVector, tab: np.ndarray, w, layout=None) -> float:
@@ -92,46 +65,6 @@ def wce_product(v: GeneratingVector, alpha: float, w, layout=None) -> float:
     if alpha <= 1.0:
         raise ValueError("requires alpha > 1")
     return lattice_kernel_sum(v, fourier_decay_table(alpha, v.N), w, layout) / v.N
-
-
-def wce_bruteforce(v: GeneratingVector, alpha: float, w, M: int) -> ErrorInterval:
-    """Dual-lattice sum over the box max_j |m_j| <= M-1, with a tail bound.
-
-    value = sum over nonzero m in the box with m.z = 0 (mod N) of
-    gamma_supp(m) * prod_{j in supp} |m_j|^(-alpha). The tail bound drops the
-    dual condition outside the box: per coordinate the discarded mass is at
-    most 2(zeta(alpha) - sum_{m<M} m^(-alpha)), combined over subsets.
-    """
-    if alpha <= 1.0:
-        raise ValueError("requires alpha > 1")
-    if M < 2:
-        raise ValueError("need truncation radius M >= 2")
-    s = v.s
-    if (2 * M - 1) ** s > BRUTEFORCE_MAX_POINTS:
-        raise ValueError("enumeration of (2M-1)^s = %d points is infeasible" % ((2 * M - 1) ** s))
-    grid = np.arange(-(M - 1), M, dtype=np.int64)
-    decay = np.ones(grid.shape[0])
-    decay[grid != 0] = np.abs(grid[grid != 0]).astype(float) ** (-alpha)
-    gamma_lookup = np.array([
-        weight_of(frozenset(j + 1 for j in range(s) if code >> j & 1), w)
-        for code in range(1 << s)
-    ])
-    shape = lambda j: tuple(-1 if i == j else 1 for i in range(s))
-    dot = sum(grid.reshape(shape(j)) * v.z[j] for j in range(s)) % v.N
-    code = sum((grid.reshape(shape(j)) != 0).astype(np.int64) << j for j in range(s))
-    mag = math.prod(decay.reshape(shape(j)) for j in range(s))
-    mask = (dot == 0) & (code != 0)
-    value = math.fsum((mag * gamma_lookup[code])[mask])
-
-    full = 2.0 * zeta(alpha)
-    head = 2.0 * math.fsum(mm ** (-alpha) for mm in range(1, M))
-    tail_terms = []
-    for size in range(1, s + 1):
-        for u in combinations(range(1, s + 1), size):
-            tail_terms.append(
-                weight_of(frozenset(u), w) * (full ** size - head ** size)
-            )
-    return ErrorInterval(value=value, tail_bound=math.fsum(tail_terms))
 
 
 def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:

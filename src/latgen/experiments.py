@@ -19,9 +19,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .cbc import construct_korobov_cbc, construct_standard_cbc
-from .cbc_dbd import construct_cbc_dbd, h_naive
-from .error import vartheta_table, wce_bruteforce, wce_product
-from .kernel import vartheta_truncated
+from .cbc_dbd import construct_cbc_dbd
+from .error import vartheta_table, wce_product
 from .numtheory import GeneratingVector, prev_prime
 from .sweep import sweep_row, write_sweep_csv
 from .weights import GeneralWeights, ProductWeights, power_weights
@@ -216,6 +215,11 @@ def _run_table1(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_oracles(cfg: ExperimentConfig, out_dir: str):
+    # imported here: the references are needed by this config alone
+    from .cbc import _omega_table
+    from .kernel import fourier_decay_table
+    from .oracles import cbc_naive, h_naive, vartheta_truncated, wce_bruteforce
+
     checks = []
     rng = np.random.default_rng(20240)
 
@@ -237,16 +241,16 @@ def _run_oracles(cfg: ExperimentConfig, out_dir: str):
            "%d bit decisions, %d worse than the other bit %s"
            % (decisions, len(worse), worse))
 
-    # whole-component CBC: fast and naive modes pick identical vectors
+    # whole-component CBC: the fast constructions pick the O(N^2) CBC's vectors
     agree = True
     for N in (17, 31, 61):
-        f = construct_korobov_cbc(N, 4, w, mode="fast")
-        g = construct_korobov_cbc(N, 4, w, mode="naive")
+        f = construct_korobov_cbc(N, 4, w)
+        g = cbc_naive(N, 4, w.gammas, _omega_table(N))
         agree = agree and f == g
     for N in (31, 32):
         wa = power_weights(ProductWeights(w.gammas[:3]), 2.0)
-        f = construct_standard_cbc(N, 3, 2.0, wa, mode="fast")
-        g = construct_standard_cbc(N, 3, 2.0, wa, mode="naive")
+        f = construct_standard_cbc(N, 3, 2.0, wa)
+        g = cbc_naive(N, 3, wa.gammas, fourier_decay_table(2.0, N))
         agree = agree and f == g
     _check(checks, "fast vs naive CBC vectors", agree, "all moduli agree")
 

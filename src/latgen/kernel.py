@@ -1,9 +1,10 @@
-"""Scalar math kernels.
+"""Residue tables of the kernels, and the scalar math behind them.
 
-The log-sine kernels omega(x) = -2 ln(2 sin(pi x)) and ln(1/sin^2(pi x)), the
-truncated Fourier kernel vartheta_N, Bernoulli polynomials, zeta(alpha), and
-the Fourier decay sum sum_{m != 0} e^{2 pi i m x} / |m|^alpha that appears in
-the worst-case error.
+The log-sine table ln(1/sin^2(pi a / N)), Bernoulli polynomials, zeta(alpha),
+and the table of the Fourier decay sum sum_{m != 0} e^{2 pi i m a / N} /
+|m|^alpha that appears in the worst-case error. latgen.oracles evaluates the
+same kernels one point at a time, as the references the tables are tested
+against.
 
 scipy is imported only by the Hurwitz-zeta fold of fourier_decay_table at
 alpha outside {2, 4, 6, 8}, on its first use; the log-sine tables, the
@@ -24,34 +25,13 @@ from .spectral import cosine_dft
 
 __all__ = [
     "LN4",
-    "omega",
-    "log_inv_sin2",
     "kernel_table",
-    "vartheta_truncated",
     "bernoulli_poly",
     "zeta",
-    "fourier_decay_sum",
     "fourier_decay_table",
 ]
 
 LN4 = math.log(4.0)
-
-#: Maximum number of series terms for the truncated Fourier decay sum.
-TRUNCATION_CAP = 10**7
-
-
-def omega(x: float) -> float:
-    """-2 ln(2 sin(pi x)) for x in (0, 1); undefined at the endpoints."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("omega is undefined outside (0,1), got x=%r" % (x,))
-    return -2.0 * math.log(2.0 * math.sin(math.pi * x))
-
-
-def log_inv_sin2(x: float) -> float:
-    """ln(1/sin^2(pi x)) = omega(x) + ln 4 for x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("log_inv_sin2 is undefined outside (0,1), got x=%r" % (x,))
-    return -2.0 * math.log(math.sin(math.pi * x))
 
 
 def kernel_table(N: int) -> np.ndarray:
@@ -77,13 +57,6 @@ def kernel_table(N: int) -> np.ndarray:
     np.add(vals, vals[::-1], out=tab[1:])
     tab[1:] *= 0.5
     return tab
-
-
-def vartheta_truncated(x: float, N: int) -> float:
-    """sum_{m=1}^{N-1} 2 cos(2 pi m x) / m, compensated summation."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    return math.fsum(2.0 * math.cos(2.0 * math.pi * m * x) / m for m in range(1, N))
 
 
 # Bernoulli polynomial coefficients, highest power first.
@@ -143,39 +116,9 @@ def _decay_closed_form(alpha: int, x):
     return sign * (2.0 * math.pi) ** a / math.factorial(a) * bernoulli_poly(a, x)
 
 
-def _decay_truncated(alpha: float, x: float, tol: float) -> float:
-    """sum_{m=1}^{M} 2 cos(2 pi m x) / m^alpha with tail bound <= tol."""
-    # tail: sum_{m>M} 2/m^alpha <= 2 M^(1-alpha) / (alpha-1)
-    M = int(math.ceil((2.0 / ((alpha - 1.0) * tol)) ** (1.0 / (alpha - 1.0))))
-    if M > TRUNCATION_CAP:
-        raise ValueError(
-            "tolerance %g requires %d terms, above the cap %d" % (tol, M, TRUNCATION_CAP)
-        )
-    partials = []
-    chunk = 1 << 18
-    for start in range(1, M + 1, chunk):
-        m = np.arange(start, min(start + chunk, M + 1), dtype=float)
-        partials.append(float(np.sum(2.0 * np.cos(2.0 * np.pi * m * x) * m ** (-alpha))))
-    return math.fsum(partials)
-
-
-def fourier_decay_sum(alpha: float, x: float, tol: float = 1e-12) -> float:
-    """sum_{m in Z, m != 0} e^{2 pi i m x} / |m|^alpha.
-
-    Closed form via the Bernoulli polynomial for even integer alpha; otherwise
-    a truncated cosine series with absolute error <= tol.
-    """
-    _check_alpha(alpha)
-    if tol <= 0.0:
-        raise ValueError("requires tol > 0")
-    x = x % 1.0
-    if _is_even_int(alpha):
-        return float(_decay_closed_form(int(alpha), x))
-    return _decay_truncated(alpha, x, tol)
-
-
 def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
-    """The decay sum at every lattice residue: table[a] = fourier_decay_sum(alpha, a/N).
+    """The decay sum at every lattice residue: table[a] = sum_{m != 0}
+    e^{2 pi i m a / N} / |m|^alpha (oracles.fourier_decay_sum(alpha, a/N)).
 
     table[0] = 2 zeta(alpha). For even alpha this is the exact closed form; for
     general alpha the series is folded by residue class, each class summed to

@@ -1,10 +1,10 @@
 """Weight models for the weighted function spaces.
 
 ProductWeights is the fast path used by every construction; GeneralWeights is
-the explicit per-subset table used by the test oracles. The decay function
-r_{alpha,gamma} lives here as well, and so does subset_product_sum, the one
-weighted sum over subsets of coordinates behind every quality evaluator.
-parse_weight_spec reads the weight grammar of the CLI and the sweeps.
+the explicit per-subset table that the quality evaluators and the test
+oracles also accept. subset_product_sum is the one weighted sum over subsets
+of coordinates behind every quality evaluator. parse_weight_spec reads the
+weight grammar of the CLI and the sweeps.
 """
 
 import math
@@ -22,7 +22,6 @@ __all__ = [
     "GeneralWeights",
     "WeightSpec",
     "parse_weight_spec",
-    "weight_of",
     "power_weights",
     "subset_product_sum",
 ]
@@ -69,6 +68,15 @@ class GeneralWeights:
             if u and not 0.0 < g < math.inf:
                 raise ValueError("gamma_u must be positive and finite, got %r for %r"
                                  % (g, set(u)))
+            if u and min(u) < 1:
+                raise ValueError("subset %r has an index below 1" % (set(u),))
+        # Subsets with an index above s are ignored; every one inside must be given.
+        if sum(1 for u in self.table if u and max(u) <= self.s) < (1 << self.s) - 1:
+            missing = next(u for size in range(1, self.s + 1)
+                           for u in combinations(range(1, self.s + 1), size)
+                           if frozenset(u) not in self.table)
+            raise ValueError("no gamma_u for u = %r: general weights need every nonempty "
+                             "subset of {1..%d}" % (set(missing), self.s))
 
     @classmethod
     def from_product(cls, w: ProductWeights, s: int = None) -> "GeneralWeights":
@@ -90,18 +98,6 @@ class GeneralWeights:
 
 
 Weights = Union[ProductWeights, GeneralWeights]
-
-
-def weight_of(u, w: Weights) -> float:
-    """gamma_u for either weight model."""
-    u = frozenset(u)
-    if isinstance(w, GeneralWeights):
-        return w.gamma(u)
-    if not u:
-        return 1.0
-    if u and max(u) > w.s:
-        raise ValueError("subset %r out of range for s=%d" % (set(u), w.s))
-    return math.prod(w.gamma(j) for j in u)
 
 
 def _power(g: float, p: float, j: int) -> float:

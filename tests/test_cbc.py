@@ -7,7 +7,6 @@ import pytest
 from latgen import cbc
 from latgen.cbc import (
     V_quality,
-    _accumulate_product,
     _cbc_greedy,
     _gather_score,
     _natural_column,
@@ -17,8 +16,9 @@ from latgen.cbc import (
     scoring_plan,
 )
 from latgen.error import wce_product
-from latgen.kernel import fourier_decay_table, omega
+from latgen.kernel import fourier_decay_table
 from latgen.numtheory import ROW_SPAN, GeneratingVector, primitive_root, unit_layout
+from latgen.oracles import cbc_naive, omega
 from latgen.weights import GeneralWeights, ProductWeights, power_weights
 
 W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))
@@ -96,8 +96,8 @@ def test_rader_scores_rejects_composite():
          "257-0.95^j-s40"],
 )
 def test_korobov_fast_equals_naive(N, w, s):
-    fast = construct_korobov_cbc(N, s, w, mode="fast")
-    naive = construct_korobov_cbc(N, s, w, mode="naive")
+    fast = construct_korobov_cbc(N, s, w)
+    naive = cbc_naive(N, s, w.gammas, _omega_table(N))
     assert fast.z == naive.z
 
 
@@ -107,9 +107,28 @@ def test_standard_fast_equals_naive(N, alpha):
     # beyond N = 128 the transforms are long and q grows under 0.95^j
     w, s = (W, 4) if N <= 128 else (W095, 12)
     w = power_weights(w, alpha)
-    fast = construct_standard_cbc(N, s, alpha, w, mode="fast")
-    naive = construct_standard_cbc(N, s, alpha, w, mode="naive")
+    fast = construct_standard_cbc(N, s, alpha, w)
+    naive = cbc_naive(N, s, w.gammas, fourier_decay_table(alpha, N))
     assert fast.z == naive.z
+
+
+@pytest.mark.parametrize("N", [2, 4])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_standard_cbc_without_blocks_equals_naive(N, alpha):
+    """N = 2 and 4 have no block: the plan's one candidate is z = 1, scored
+    by the fixed slots alone, and it is the O(N^2) CBC's vector and its
+    overflow error."""
+    w = power_weights(W, alpha)
+    tab = fourier_decay_table(alpha, N)
+    plan = scoring_plan(N, tab)
+    assert plan.z.tolist() == [1] and not plan.levels
+    assert construct_standard_cbc(N, 10, alpha, w) == cbc_naive(N, 10, w.gammas, tab)
+    huge = ProductWeights(tuple(1e30**j for j in range(1, 11)))
+    with pytest.raises(ValueError) as fast:
+        construct_standard_cbc(N, 10, alpha, huge)
+    with pytest.raises(ValueError) as naive:
+        cbc_naive(N, 10, huge.gammas, tab)
+    assert "left double range" in str(fast.value) and str(fast.value) == str(naive.value)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +156,7 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
             assert np.max(np.abs(scores - exact)) <= bound
             for z in plan.z.tolist()[:50]:
                 assert _gather_score(q, plan.column, z) == q @ tab[k * z % N]
-        _accumulate_product(q, plan.column, v.z[d - 1], W095.gamma(d))
+        q *= 1.0 + W095.gamma(d) * plan.column(v.z[d - 1])
     if alpha is None and N > 61:  # at N = 61 omega stays below 4.6, q below 1e17
         assert np.max(np.abs(q)) > 1e20
 
@@ -165,7 +184,7 @@ def _natural_fold(q):
 @pytest.mark.parametrize("N", [131, 8147, 8, 256, 2048, 1 << 14])
 def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     """Along a fast greedy run, the running product kept on the plan's slots
-    maps back to exactly the naive mode's natural-order q after every
+    maps back to exactly the natural-order q of cbc_naive after every
     component, and its scores and bound are exactly those of the fold
     gathered from that q."""
     s = 60
@@ -179,7 +198,7 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
         return refined_argmin(plan, p)
 
     monkeypatch.setattr(cbc, "_refined_argmin", recording)
-    v = _cbc_greedy(N, s, gammas, tab, "fast")
+    v = _cbc_greedy(N, s, gammas, tab)
     assert len(states) == s - 1
     column = _natural_column(unit_layout(N), tab)
     q = 1.0 + gammas[0] * tab[1:]
@@ -190,12 +209,12 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
         sc, bound = plan.scores(p)
         ref, ref_bound = dataclasses.replace(plan, counts=np.ones_like(f)).scores(f)
         assert np.array_equal(sc, ref) and bound == ref_bound, d
-        _accumulate_product(q, column, v.z[d - 1], gammas[d - 1])
+        q *= 1.0 + gammas[d - 1] * column(v.z[d - 1])
 
 
 @pytest.mark.parametrize("N", [61, 131, 8147, 64, 2048])
 def test_fast_mode_reads_columns_only_to_rescore(N, monkeypatch):
-    """The fast mode scores and updates on the slots; it reads a
+    """The fast CBC scores and updates on the slots; it reads a
     natural-order column once per rescored candidate and never otherwise."""
     gathers = []
     columns = []
@@ -229,7 +248,7 @@ def test_short_block_plans_call_no_fft(N, monkeypatch):
     assert max(bl.shape[0] for bl in unit_layout(N).blocks) <= ROW_SPAN
     tab = fourier_decay_table(2.0, N)
     gammas = power_weights(W095, 2.0).gammas[:12]
-    naive = _cbc_greedy(N, 12, gammas, tab, "naive")
+    naive = cbc_naive(N, 12, gammas, tab)
 
     def no_fft(*args, **kwargs):
         raise AssertionError("numpy.fft was called")
@@ -239,29 +258,36 @@ def test_short_block_plans_call_no_fft(N, monkeypatch):
     plan = scoring_plan(N, tab)
     assert not plan.levels
     plan.scores(np.ones(plan.residues.shape[0]))
-    assert _cbc_greedy(N, 12, gammas, tab, "fast") == naive
+    assert _cbc_greedy(N, 12, gammas, tab) == naive
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mode", ["fast", "naive"])
-def test_running_product_overflow_is_reported(mode):
+@pytest.mark.parametrize("naive", [False, True], ids=["fast", "naive"])
+def test_running_product_overflow_is_reported(naive):
     """Under gamma_j = 1000^j the running product q leaves double range after
-    component 14; both modes say so instead of returning a vector."""
+    component 14; the constructions and cbc_naive say so instead of
+    returning a vector."""
     w = ProductWeights(tuple(1e3**j for j in range(1, 31)))
+    if naive:
+        korobov = lambda N, s: cbc_naive(N, s, w.gammas, _omega_table(N))
+        standard = lambda N, s: cbc_naive(N, s, w.gammas, fourier_decay_table(2.0, N))
+    else:
+        korobov = lambda N, s: construct_korobov_cbc(N, s, w)
+        standard = lambda N, s: construct_standard_cbc(N, s, 2.0, w)
     msg = "left double range after component 14"
     with pytest.raises(ValueError, match=msg):
-        construct_korobov_cbc(61, 30, w, mode=mode)
+        korobov(61, 30)
     with pytest.raises(ValueError, match=msg):
-        construct_standard_cbc(64, 30, 2.0, w, mode=mode)
-    assert construct_korobov_cbc(61, 14, w, mode=mode).s == 14
+        standard(64, 30)
+    assert korobov(61, 14).s == 14
 
 
 def test_bound_stays_finite_for_large_running_products(monkeypatch):
     """Under gamma_j = 3^j, max|q| passes 1e154 and q @ q overflows; the
     bound's norms are scaled instead, so no component rescores every
-    candidate, and the vector is still the naive mode's."""
+    candidate, and the vector is still cbc_naive's."""
     w = ProductWeights(tuple(3.0**j for j in range(1, 35)))
-    naive = construct_korobov_cbc(509, 34, w, mode="naive")
+    naive = cbc_naive(509, 34, w.gammas, _omega_table(509))
     calls = []
 
     def counting(q, column, z):
@@ -320,8 +346,6 @@ def test_construct_rejects_bad_args():
         construct_standard_cbc(12, 2, 2.0, W)  # neither prime nor 2^n
     with pytest.raises(ValueError):
         construct_standard_cbc(16, 2, 1.0, W)  # alpha must exceed 1
-    with pytest.raises(ValueError):
-        construct_korobov_cbc(13, 2, W, mode="turbo")
 
 
 def test_pow2_candidates_are_odd():

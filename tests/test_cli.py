@@ -283,7 +283,8 @@ def test_sweep_row_powers_weights_consistently():
 
 def test_cold_paths_never_import_scipy(tmp_path):
     """scipy (0.3 s of import) is loaded only by a Hurwitz-zeta decay table,
-    that is, a worst-case error at alpha outside {2, 4, 6, 8}."""
+    that is, a worst-case error at alpha outside {2, 4, 6, 8}; the test-only
+    references and the experiment harness are never loaded by these commands."""
     script = r"""
 import sys
 from latgen.cli import main
@@ -302,6 +303,7 @@ runs = [
 for argv in runs:
     assert main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
+    assert "latgen.oracles" not in sys.modules and "latgen.experiments" not in sys.modules, argv
 assert main(["error", "--vector", d + "/v.txt", "--alpha", "2.5", *w]) == 0
 assert "scipy" in sys.modules
 """
@@ -384,6 +386,20 @@ def test_unusable_weights_exit_2_with_one_line(tmp_path, capsys, argv, cause):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert cause in err, err
+
+
+def test_incomplete_general_weights_exit_2_with_one_line(tmp_path, capsys):
+    """A general: weight file that lacks a subset of the vector's coordinates
+    ends in one line naming the first missing subset."""
+    vec = str(tmp_path / "v.txt")
+    write_vector(vec, GeneratingVector(16, (1, 3, 5)))
+    weights = tmp_path / "g.txt"
+    weights.write_text("1 0.5\n2 0.25\n")
+    assert main(["error", "--vector", vec, "--alpha", "2",
+                 "--weights", "general:%s" % weights]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "no gamma_u for u = {3}" in err, err
 
 
 def test_points_output(tmp_path):

@@ -7,7 +7,6 @@ from latgen import error
 from latgen.cbc import _omega_table, construct_korobov_cbc, construct_standard_cbc
 from latgen.cbc_dbd import construct_cbc_dbd
 from latgen.error import (
-    ErrorInterval,
     T_alpha_quantity,
     T_quantity,
     bound_thm_cbc,
@@ -15,11 +14,11 @@ from latgen.error import (
     bound_thm_existence,
     lattice_kernel_sum,
     vartheta_table,
-    wce_bruteforce,
     wce_product,
 )
 from latgen.kernel import fourier_decay_table, kernel_table
 from latgen.numtheory import GeneratingVector, gcd, unit_layout
+from latgen.oracles import ErrorInterval, wce_bruteforce
 from latgen.weights import GeneralWeights, ProductWeights, power_weights, subset_product_sum
 
 W = ProductWeights(tuple(1.0 / j**2 for j in range(1, 11)))

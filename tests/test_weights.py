@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from latgen.oracles import weight_of
 from latgen.weights import (
     GeneralWeights,
     ProductWeights,
     WeightSpec,
     power_weights,
     subset_product_sum,
-    weight_of,
 )
 
 
@@ -58,6 +58,21 @@ def test_overflowing_weights_are_rejected():
         power_weights(ProductWeights((0.5, 1e200)), 2.0)
     with pytest.raises(ValueError, match="gamma_309 = 10.0\\^309 overflows"):
         WeightSpec("product-formula", formula="c^j", c=10.0).resolve(400)
+
+
+def test_general_weights_need_every_subset():
+    """Every nonempty subset of {1..s} needs a weight, the first missing one
+    (by size, then in order) is named, indices below 1 are refused, and
+    subsets reaching beyond s are ignored."""
+    with pytest.raises(ValueError, match=r"no gamma_u for u = \{3\}.* of \{1\.\.3\}"):
+        GeneralWeights(3, {frozenset({1}): 0.5, frozenset({2}): 0.25})
+    with pytest.raises(ValueError, match=r"no gamma_u for u = \{1, 2\}"):
+        GeneralWeights(2, {frozenset({1}): 0.5, frozenset({2}): 0.25, frozenset({3}): 0.1})
+    with pytest.raises(ValueError, match="index below 1"):
+        GeneralWeights(1, {frozenset({1}): 0.5, frozenset({0, 1}): 0.25})
+    w = GeneralWeights(1, {frozenset({1}): 0.5, frozenset({1, 2}): 0.1})
+    assert w.gamma({1}) == 0.5
+    assert GeneralWeights(0, {}).s == 0
 
 
 def test_general_from_product_agrees():
