@@ -27,12 +27,13 @@ def level_tables(ktab, n):
     """The residues and kernel values of levels v = 2..n, at index v - 2.
 
     res[v-2][i] = (5^i mod 2^v) 2^(n-v) for i < 2^(v-2), the block n - v of
-    unit_layout(2^n) (level 2 is its fixed slot N/4), and K[v-2] is ktab at
-    those residues, stored twice in a row: the values that a unit
-    x = +-5^c mod 2^v meets on the level's slots are K[v-2][c : c + 2^(v-2)].
+    unit_layout(2^n) (level 2 is its fixed slot N/4, the second of N/2, N/4,
+    0), and K[v-2] is ktab at those residues, stored twice in a row: the
+    values that a unit x = +-5^c mod 2^v meets on the level's slots are
+    K[v-2][c : c + 2^(v-2)].
     """
     lay = unit_layout(1 << n)
-    res = [lay.fixed[2:]] + [lay.blocks[n - v] for v in range(3, n + 1)]
+    res = [lay.fixed[1:2]] + [lay.blocks[n - v] for v in range(3, n + 1)]
     return res, [np.tile(ktab[r], 2) for r in res]
 
 

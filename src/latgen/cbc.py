@@ -7,36 +7,37 @@ sum_{k=1}^{N-1} q[k-1] * tab[(k z) mod N], where q is the running product
 over the earlier components.
 
 Both constructions run Nuyens and Cools' fast CBC. `scoring_plan` builds,
-once per construction, the slot layout of the state, the spectra of the
-long blocks' kernels and the row table of the short ones. The tables are
-exactly symmetric, so q[k-1] == q[N-k-1] bit for bit, and the state p keeps one slot
-per +- pair of residues: the blocks of numtheory.unit_layout, then the fixed
-residues. Every unit z = +-g^b (+-5^b) rotates each block by b, and the
-scores of z and N - z are bit-equal, so only z <= N/2 are scored, in the
-order of b. A component costs the scoring below, the argmin and the update,
-all on contiguous memory: the fold is p times each slot's count of residues
-(2 for a pair), a long block is updated by a slice of its doubled kernel
-values, the short blocks and fixed slots by the row of rotation b. Only a
-component that rescores rebuilds q in natural order, with one gather, and
-reads the columns tab[k z mod N]: for prime N from the doubled power table
-at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
+once per construction, the spectra of the long blocks' kernels and the row
+table of the short ones. The tables are exactly symmetric, so
+q[k-1] == q[N-k-1] bit for bit, and the state p keeps one slot per +- pair
+of residues: the slots of numtheory.unit_layout but the last, residue 0,
+which is not in q. Every unit z = +-g^b (+-5^b) rotates each block by b,
+and the scores of z and N - z are bit-equal, so only z <= N/2 are scored,
+in the order of -b. A component costs the scoring below, the argmin and the
+update, all on contiguous memory: the fold is p times each slot's count of
+residues (2 for a pair), a long block is updated by a slice of its doubled
+kernel values, the short blocks and fixed slots by one row of the plan's
+row table. Only a component that rescores rebuilds q in natural order,
+with one gather, and reads the columns tab[k z mod N]: for prime N from the
+doubled power table at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
 
 - Long blocks (longer than numtheory.ROW_SPAN): the scores are a cyclic
-  correlation, a convolution of the reversed fold on numpy.fft (a long
-  block's slots hold a_0, a_(L-1), ..., a_1, so its fold is already
-  reversed, and its update reads the doubled values backwards). For prime N
-  the one block has length H = (N-1)/2; its fold is convolved with two
-  periods of the kernel as one zero-padded product of power-of-two length
-  M >= N - 1, whatever the factors of N - 1 (`spectral.convolver`; a
-  power-of-two H takes one length-H transform instead). For N = 2^n each
-  long level is one such correlation of length N/2^(c+2); the level spectra
-  are summed and inverted once, at length N/4.
-- Short blocks and the fixed slots (N/2, and N/4 folded with 3N/4; the slot
-  k = 0 is not in q): their score at rotation b is rows[b] @ fold, one
-  matrix-vector product with the row table of numtheory.UnitColumns, which
-  repeats with the longest short block. Prime N <= 127 and N = 2^n <= 256
-  have no long block and run no transform; N = 2 and 4 have no block at
-  all, and their one candidate z = 1 is scored by the fixed slots alone.
+  correlation, a convolution of the fold with the reversed kernel values
+  a_0, a_(L-1), ..., a_1 on numpy.fft, whose output b is the score of
+  rotation -b; the fold keeps the layout's order. For prime N the one block
+  has length H = (N-1)/2; its fold is convolved with two periods of the
+  kernel as one zero-padded product of power-of-two length M >= N - 1,
+  whatever the factors of N - 1 (`spectral.convolver`; a power-of-two H
+  takes one length-H transform instead). For N = 2^n each long level is one
+  such correlation of length N/2^(c+2); the level spectra are summed and
+  inverted once, at length N/4.
+- Short blocks and the fixed slots (N/2, and N/4 folded with 3N/4): their
+  scores are one matrix-vector product with the row table of
+  numtheory.UnitColumns, which repeats with the longest short block, its
+  rows taken in the order of -b and without the column of residue 0.
+  Prime N <= 127 and N = 2^n <= 256 have no long block and run no
+  transform; N = 2 and 4 have no block at all, and their one candidate
+  z = 1 is scored by the fixed slots alone.
 
 Each score vector comes with a bound on its rounding error, the transforms'
 plus the dot products'. A lone candidate within twice that bound of the
@@ -58,7 +59,7 @@ import numpy as np
 
 from .error import lattice_kernel_sum
 from .kernel import LN4, fourier_decay_table, kernel_table
-from .numtheory import ROW_SPAN, GeneratingVector, UnitColumns, UnitLayout, is_prime, unit_layout
+from .numtheory import GeneratingVector, UnitColumns, UnitLayout, is_prime, unit_layout
 from .spectral import convolver
 from .weights import ProductWeights
 
@@ -127,10 +128,10 @@ def _natural_column(layout: UnitLayout, tab: np.ndarray):
 class _Level:
     """One cyclic convolution: the fold f[start:stop] against the spectrum K."""
 
-    start: int  # p[start:stop] are the block's slots, a_0, a_(L-1), ..., a_1,
-    stop: int  # so that the correlation becomes a convolution
+    start: int  # p[start:stop] are the block's slots, a_0, a_1, ..., a_(L-1)
+    stop: int
     length: int  # transform length of the slice
-    K: np.ndarray  # the reordered kernel's convolver spectrum, times the tiling factor
+    K: np.ndarray  # the convolver spectrum of a_0, a_(L-1), ..., a_1, times the tiling factor
     step: int  # K lands on every step-th bin of the summed spectrum
     kernel_norm: float
     doubled: np.ndarray  # the block's kernel values a_0..a_(L-1), twice (UnitColumns)
@@ -138,16 +139,16 @@ class _Level:
 
 @dataclass(frozen=True)
 class ScoringPlan:
-    """Candidates z <= N/2, the slot layout of the state, and what scores
-    all candidates at once.
+    """Candidates z <= N/2 and what scores all of them at once.
 
-    Slot i of the state p stands for the residues residues[i] and
-    N - residues[i] (one residue for N/2), whose entries of the natural-order
-    running product are equal: q = p[natural]. scores(p)[i] approximates
-    _gather_score(q, column, z[i]); the returned bound caps the difference.
+    The state p has the slots of unit_layout(N) but the last: slot i stands
+    for the residues residues[i] and N - residues[i] (one residue for N/2),
+    whose entries of the natural-order running product are equal:
+    q = p[natural]. scores(p)[i] approximates _gather_score(q, column, z[i]);
+    the returned bound caps the difference.
     """
 
-    z: np.ndarray  # z[b] is the one of +-g^b (+-5^b for N = 2^n) below N/2
+    z: np.ndarray  # z[b] is the one of +-g^(-b) (+-5^(-b) for N = 2^n) below N/2
     residues: np.ndarray  # int64, the residue each slot stands for
     natural: np.ndarray  # int64, the slot of each k = 1..N-1
     counts: np.ndarray  # residues per slot: the fold is p * counts
@@ -199,11 +200,11 @@ class ScoringPlan:
 
     def update(self, p: np.ndarray, b: int, gamma: float):
         """p *= 1 + gamma * tab[a z mod N] for each slot's residue a, in
-        place, for z = z[b]: z rotates each block by b."""
+        place, for z = z[b]: z rotates each block by -b."""
         for lv in self.levels:
             L = lv.stop - lv.start
-            c = L + b % L  # slot i holds a_(-i mod L), which z takes to a_(b-i mod L)
-            p[lv.start : lv.stop] *= 1.0 + gamma * lv.doubled[c : c - L : -1]
+            c = -b % L  # z takes slot i's a_i to a_(c+i mod L)
+            p[lv.start : lv.stop] *= 1.0 + gamma * lv.doubled[c : c + L]
         if p.shape[0] > self.short:
             p[self.short :] *= 1.0 + gamma * self.rows[b % self.rows.shape[0]]
 
@@ -212,11 +213,13 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     """The scoring plan for prime N >= 3 or N = 2^n >= 2; tab is the
     residue-indexed, exactly symmetric kernel table (tab[a] == tab[N - a]).
 
-    Each block of unit_layout(N) longer than ROW_SPAN is one level: its
-    residues a_i order the kernel, and its slots hold the pairs a_i, N - a_i
-    in reverse order. The shorter blocks and the fixed residues other than 0
-    are scored by the rows of UnitColumns, the table the lattice sums read.
-    N = 2 and 4 have no block; their one candidate is z = 1.
+    The state's slots are those of unit_layout(N) but the last, residue 0.
+    Each block longer than ROW_SPAN is one level, convolved with its kernel
+    values reversed, a_0, a_(L-1), ..., a_1; transform output b is then the
+    score of rotation -b, and the candidates are listed in that order. The
+    shorter blocks and the fixed residues other than 0 are scored by the
+    rows of UnitColumns, the table the lattice sums read, taken in the same
+    order. N = 2 and 4 have no block; their one candidate is z = 1.
     """
     layout = unit_layout(N)
     cols = UnitColumns(layout, tab)
@@ -225,32 +228,24 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
         raise ValueError("the fast CBC needs a prime N >= 3 or N = 2^n")
     top = layout.blocks[0] if layout.blocks else np.ones(1, dtype=np.int64)
     Q = top.shape[0]
-    long = [bl for bl in layout.blocks if bl.shape[0] > ROW_SPAN]
-    convs = [convolver(tab[res]) for res in long]  # N = 2^n: power-of-two lengths
+    zr = top[-np.arange(Q) % Q]
+    # a_0, a_(L-1), ..., a_1 per long block; N = 2^n: power-of-two lengths
+    convs = [convolver(doubled[L:0:-1]) for doubled, L in cols.doubled]
     levels = []
-    order = []  # the layout slot behind each plan slot
-    start = 0  # the long blocks lead both orders
+    start = 0  # the long blocks lead the layout
     for conv, (doubled, L) in zip(convs, cols.doubled):
-        order.append(start + (-np.arange(L)) % L)
         levels.append(_Level(start=start, stop=start + L, length=conv.size,
                              K=(Q // L) * conv.spectrum, step=Q // L, kernel_norm=conv.norm,
                              doubled=doubled))
         start += L
-    n_blocks = sum(bl.shape[0] for bl in layout.blocks)
-    n_short = n_blocks - start
-    order.append(np.arange(start, n_blocks))  # the short blocks as they are
-    # The fixed slots follow the short blocks, as in cols.rows, but without
-    # k = 0 (not in q) and reversed, so that the pairs come first: for
-    # N = 2^n, N/4 (with 3N/4), then N/2.
-    order.append(np.arange(layout.counts.shape[0] - 1, n_blocks, -1))
-    order = np.concatenate(order)
-    residues = np.concatenate(layout.blocks + (layout.fixed,))[order]
+    residues = np.concatenate(layout.blocks + (layout.fixed,))[:-1]
     slot_of = np.empty(N, dtype=np.int64)
     slot_of[residues] = slot_of[N - residues] = np.arange(residues.shape[0])
-    rows = np.hstack((cols.rows[:, :n_short], cols.rows[:, : n_short : -1]))
+    P = cols.rows.shape[0]
+    rows = cols.rows[-np.arange(P) % P, :-1]
     size, offset = (convs[0].size, convs[0].offset) if convs else (0, 0)
-    return ScoringPlan(z=np.minimum(top, N - top), residues=residues, natural=slot_of[1:],
-                       counts=layout.counts[order], levels=tuple(levels),
+    return ScoringPlan(z=np.minimum(zr, N - zr), residues=residues, natural=slot_of[1:],
+                       counts=layout.counts[:-1], levels=tuple(levels),
                        size=size, offset=offset, short=start, rows=rows,
                        row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()),
                        column=_natural_column(layout, tab))

@@ -86,7 +86,7 @@ def _resolve_modulus(args) -> int:
 
 def cmd_construct(args) -> int:
     N = _resolve_modulus(args)
-    v = construct(args.algo, N, args.s, parse_weight_spec(args.weights), args.alpha)
+    v = construct(args.algo, N, args.s, parse_weight_spec(args.weights, args.s), args.alpha)
     write_vector(args.out, v)
     return 0
 
@@ -96,8 +96,7 @@ def cmd_construct(args) -> int:
 def cmd_error(args) -> int:
     v = read_vector(args.vector)
     check_modulus(v.N)
-    spec = parse_weight_spec(args.weights)
-    w = spec.resolve(v.s)
+    w = parse_weight_spec(args.weights, v.s)
     w_eval = w
     if args.apply_power:
         if not isinstance(w, ProductWeights):

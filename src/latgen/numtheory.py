@@ -10,10 +10,11 @@ primitive root g, folded over +-: g^((N-1)/2) = -1, so on a table with
 tab[a] == tab[N - a] the ordered values for k z, z = +-g^b, are those for z = 1
 rotated by b. For N = 2^n the residue k = 2^c k' (k' odd) sits in level c,
 whose odd part k' runs through the cosets +-5^i mod N/2^c; z = +-5^b rotates
-every level by b. The few residues no unit moves (0, and N/2, N/4, 3N/4 for
-N = 2^n) come last. A lattice sum over k then reads each column as slices of
-one table, with no modular arithmetic and no gather per column; other moduli
-keep the natural order k = 0..N-1 and gather tab[k z mod N].
+every level by b. The few residues no unit moves (N/2, N/4, 3N/4 for
+N = 2^n, and 0) come last, 0 the very last. A lattice sum over k then reads
+each column as slices of one table, with no modular arithmetic and no
+gather per column; other moduli keep the natural order k = 0..N-1 and
+gather tab[k z mod N].
 """
 
 from dataclasses import dataclass
@@ -187,7 +188,10 @@ class UnitLayout:
     """The residues mod N in an order that every unit z merely rotates.
 
     The slots are each block in turn, then the fixed residues, which no unit
-    moves. Block c (level c of N = 2^n, or the one block of prime N) holds
+    moves: N/2, N/4 (standing for N/4 and 3N/4), then 0 for N = 2^n, 0 alone
+    for prime N. Residue 0 comes last, so all slots but the last hold the
+    residues k = 1..N-1 (the fast CBC keeps its state on those). Block c
+    (level c of N = 2^n, or the one block of prime N) holds
     a_i = 2^c (5^i mod N/2^c), resp. g^i, for i < its length L_c; for a unit
     z = +-5^b (+-g^b), dlog[z] = b, the residue a_i z mod N is
     +-a_(i+b mod L_c). counts holds how many residues k each slot stands for
@@ -198,7 +202,7 @@ class UnitLayout:
     N: int
     cyclic: bool
     blocks: Tuple[np.ndarray, ...]  # int64 residues, longest first
-    fixed: np.ndarray  # int64 residues, 0 first; all of 0..N-1 when not cyclic
+    fixed: np.ndarray  # int64 residues, 0 last; all of 0..N-1 when not cyclic
     counts: np.ndarray  # float multiplicity of each slot
     dlog: np.ndarray  # int32, dlog[z] = b for each unit z when cyclic, else -1
 
@@ -237,8 +241,9 @@ def unit_layout(N: int) -> UnitLayout:
         pw = _powers(5, Q, N)
         blocks = tuple((pw[: N >> (c + 2)] & ((N >> c) - 1)) << c
                        for c in range(N.bit_length() - 3))
-        fixed = np.array([0, N // 2, N // 4][: min(N.bit_length(), 3)], dtype=np.int64)
-        fixed_counts = [1.0, 1.0, 2.0][: fixed.shape[0]]
+        m = min(N.bit_length(), 3) - 1  # N = 2 has no N/4
+        fixed = np.array([N // 2, N // 4][:m] + [0], dtype=np.int64)
+        fixed_counts = [1.0, 2.0][:m] + [1.0]
     elif is_prime(N):
         Q = (N - 1) // 2
         pw = _powers(primitive_root(N), Q, N)

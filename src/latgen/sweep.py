@@ -13,7 +13,7 @@ from .cbc import construct_korobov_cbc, construct_standard_cbc
 from .cbc_dbd import construct_cbc_dbd
 from .error import wce_product
 from .numtheory import check_modulus, is_prime
-from .weights import ProductWeights, WeightSpec, parse_weight_spec, power_weights
+from .weights import ProductWeights, Weights, parse_weight_spec, power_weights
 
 __all__ = ["CSV_HEADER", "fmt", "construct", "sweep_row", "write_sweep_csv"]
 
@@ -26,29 +26,23 @@ def fmt(x: float) -> str:
     return "%.17g" % (x,)
 
 
-def construct(algo: str, N: int, s: int, weights: WeightSpec, alpha):
-    """The vector of algorithm algo ("cbc-dbd", "korobov-cbc" or "std-cbc")."""
+def construct(algo: str, N: int, s: int, w: Weights, alpha):
+    """The vector of algorithm algo ("cbc-dbd", "korobov-cbc" or "std-cbc")
+    under the weights w, which must be product weights."""
     check_modulus(N)
+    if not isinstance(w, ProductWeights):
+        raise ValueError("%s requires product weights" % (algo,))
     if algo == "cbc-dbd":
         if N & (N - 1) != 0 or N < 2:
             raise ValueError("cbc-dbd requires N = 2^n")
-        w = weights.resolve(s)
-        if not isinstance(w, ProductWeights):
-            raise ValueError("cbc-dbd requires product weights")
         return construct_cbc_dbd(N.bit_length() - 1, s, w)
     if algo == "korobov-cbc":
         if not is_prime(N) or N < 3:
             raise ValueError("N must be prime")
-        w = weights.resolve(s)
-        if not isinstance(w, ProductWeights):
-            raise ValueError("korobov-cbc requires product weights")
         return construct_korobov_cbc(N, s, w)
     if algo == "std-cbc":
         if alpha is None:
             raise ValueError("std-cbc requires --alpha")
-        w = weights.resolve(s)
-        if not isinstance(w, ProductWeights):
-            raise ValueError("std-cbc requires product weights")
         return construct_standard_cbc(N, s, alpha, power_weights(w, alpha))
     raise ValueError("unknown algorithm %r" % (algo,))
 
@@ -61,12 +55,9 @@ def sweep_row(algo: str, N: int, s: int, weights_text: str, alpha: float):
     the alpha-th power. The error is always evaluated with the powered
     sequence, matching the convergence plots being reproduced.
     """
-    spec = parse_weight_spec(weights_text)
-    w = spec.resolve(s)
-    if not isinstance(w, ProductWeights):
-        raise ValueError("sweeps require product weights")
+    w = parse_weight_spec(weights_text, s)
     t0 = time.perf_counter()
-    v = construct(algo, N, s, spec, alpha)
+    v = construct(algo, N, s, w, alpha)
     t1 = time.perf_counter()
     wce = wce_product(v, alpha, power_weights(w, alpha))
     t2 = time.perf_counter()

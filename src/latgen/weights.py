@@ -4,7 +4,7 @@ ProductWeights is the fast path used by every construction; GeneralWeights is
 the explicit per-subset table that the quality evaluators and the test
 oracles also accept. subset_product_sum is the one weighted sum over subsets
 of coordinates behind every quality evaluator. parse_weight_spec reads the
-weight grammar of the CLI and the sweeps.
+weight grammar of the CLI and the sweeps into resolved weights.
 """
 
 import math
@@ -20,7 +20,6 @@ from .numtheory import ColumnSlices
 __all__ = [
     "ProductWeights",
     "GeneralWeights",
-    "WeightSpec",
     "parse_weight_spec",
     "power_weights",
     "subset_product_sum",
@@ -157,65 +156,31 @@ def subset_product_sum(w: Weights, columns, counts=None) -> float:
     return math.fsum(total)
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """A resolvable description of a weight family.
-
-    kind is one of "product-list", "product-formula", "general-table".
-    parse_weight_spec reads the CLI's weight grammar into one of these; the
-    math core only ever sees resolved numbers.
-    """
-
-    kind: str
-    formula: str = ""  # for product-formula: "1/j^2", "1/j^3", or "c^j"
-    c: float = 0.0  # parameter for the "c^j" formula
-    gammas: Tuple[float, ...] = ()  # for product-list
-    table: Tuple[Tuple[FrozenSet[int], float], ...] = ()  # for general-table
-
-    def resolve(self, s: int) -> Weights:
-        if self.kind == "product-formula":
-            if self.formula == "1/j^2":
-                return ProductWeights(tuple(1.0 / j**2 for j in range(1, s + 1)))
-            if self.formula == "1/j^3":
-                return ProductWeights(tuple(1.0 / j**3 for j in range(1, s + 1)))
-            if self.formula == "c^j":
-                return ProductWeights(tuple(_power(self.c, j, j) for j in range(1, s + 1)))
-            raise ValueError("unknown product formula %r" % self.formula)
-        if self.kind == "product-list":
-            if len(self.gammas) < s:
-                raise ValueError(
-                    "weight list has %d entries, need %d" % (len(self.gammas), s)
-                )
-            return ProductWeights(self.gammas[:s])
-        if self.kind == "general-table":
-            table = {u: g for u, g in self.table}
-            table.setdefault(frozenset(), 1.0)
-            return GeneralWeights(s, table)
-        raise ValueError("unknown weight spec kind %r" % self.kind)
-
-
-def parse_weight_spec(text: str) -> WeightSpec:
-    """Grammar: product:1/j^2 | product:1/j^3 | product:c^j:<c> |
-    product:list:<path> | general:<path>."""
-    if text in ("product:1/j^2", "product:1/j^3"):
-        return WeightSpec(kind="product-formula", formula=text.split(":", 1)[1])
+def parse_weight_spec(text: str, s: int) -> Weights:
+    """The weights of coordinates 1..s that text names. Grammar:
+    product:1/j^2 | product:1/j^3 | product:c^j:<c> | product:list:<path> |
+    general:<path>."""
+    if text == "product:1/j^2":
+        return ProductWeights(tuple(1.0 / j**2 for j in range(1, s + 1)))
+    if text == "product:1/j^3":
+        return ProductWeights(tuple(1.0 / j**3 for j in range(1, s + 1)))
     if text.startswith("product:c^j:"):
-        return WeightSpec(kind="product-formula", formula="c^j",
-                          c=float(text.rsplit(":", 1)[1]))
+        c = float(text.rsplit(":", 1)[1])
+        return ProductWeights(tuple(_power(c, j, j) for j in range(1, s + 1)))
     if text.startswith("product:list:"):
-        path = text.split(":", 2)[2]
-        with open(path) as fh:
-            gammas = tuple(float(ln) for ln in fh if ln.strip())
-        return WeightSpec(kind="product-list", gammas=gammas)
+        with open(text.split(":", 2)[2]) as fh:
+            gammas = [float(ln) for ln in fh if ln.strip()]
+        if len(gammas) < s:
+            raise ValueError("weight list has %d entries, need %d" % (len(gammas), s))
+        return ProductWeights(gammas[:s])
     if text.startswith("general:"):
-        path = text.split(":", 1)[1]
-        table = []
-        with open(path) as fh:
+        table = {}
+        with open(text.split(":", 1)[1]) as fh:
             for ln in fh:
                 if not ln.strip():
                     continue
                 subset_str, gamma_str = ln.split()
-                u = frozenset(int(c) for c in subset_str.split(","))
-                table.append((u, float(gamma_str)))
-        return WeightSpec(kind="general-table", table=tuple(table))
+                table[frozenset(int(c) for c in subset_str.split(","))] = float(gamma_str)
+        table.setdefault(frozenset(), 1.0)
+        return GeneralWeights(s, table)
     raise ValueError("unrecognized weight spec %r" % (text,))

@@ -161,21 +161,14 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
         assert np.max(np.abs(q)) > 1e20
 
 
-def _natural_fold(q):
-    """The fold as the plan gathered it from the natural-order running
-    product q before it kept q on its slots: each long block's pairs
-    a_i, N - a_i in reverse order, the short blocks' pairs, N/4 with 3N/4,
-    then N/2 alone."""
+def _layout_fold(q, res):
+    """The fold of the natural-order running product q on slots of the
+    residues res: q[a-1] + q[N-a-1] for each +- pair a, N - a, and N/2
+    alone."""
     N = q.shape[0] + 1
-    layout = unit_layout(N)
-    slots = [bl[(-np.arange(bl.shape[0])) % bl.shape[0]] if bl.shape[0] > ROW_SPAN else bl
-             for bl in layout.blocks]
-    fixed = layout.fixed[:0:-1]
-    paired = np.concatenate(slots + [fixed[:1]])
-    i1 = np.concatenate((paired, fixed[1:])) - 1
-    i2 = N - paired - 1
-    f = q[i1]
-    f[: i2.shape[0]] += q[i2]
+    f = q[res - 1] + q[N - res - 1]
+    alone = 2 * res == N
+    f[alone] = q[res[alone] - 1]
     return f
 
 
@@ -183,10 +176,11 @@ def _natural_fold(q):
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
 @pytest.mark.parametrize("N", [131, 8147, 8, 256, 2048, 1 << 14])
 def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
-    """Along a fast greedy run, the running product kept on the plan's slots
-    maps back to exactly the natural-order q of cbc_naive after every
-    component, and its scores and bound are exactly those of the fold
-    gathered from that q."""
+    """Along a fast greedy run, the running product is kept on the slots of
+    unit_layout(N) but its last: the plan's residues and counts are the
+    layout's without residue 0, the state holds the natural-order q of
+    cbc_naive at each slot's residue after every component, and its scores
+    and bound are exactly those of the fold gathered from that q."""
     s = 60
     tab = fourier_decay_table(alpha, N)
     gammas = power_weights(w, alpha).gammas[:s]
@@ -200,11 +194,15 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     monkeypatch.setattr(cbc, "_refined_argmin", recording)
     v = _cbc_greedy(N, s, gammas, tab)
     assert len(states) == s - 1
-    column = _natural_column(unit_layout(N), tab)
+    layout = unit_layout(N)
+    res = np.concatenate(layout.blocks + (layout.fixed,))[:-1]  # all slots but residue 0
+    plan = states[0][0]
+    assert np.array_equal(plan.residues, res) and np.array_equal(plan.counts, layout.counts[:-1])
+    column = _natural_column(layout, tab)
     q = 1.0 + gammas[0] * tab[1:]
     for d, (plan, p) in enumerate(states, start=2):
-        assert np.array_equal(p[plan.natural], q), d
-        f = _natural_fold(q)
+        assert np.array_equal(p, q[res - 1]) and np.array_equal(p[plan.natural], q), d
+        f = _layout_fold(q, res)
         assert np.array_equal(p * plan.counts, f), d
         sc, bound = plan.scores(p)
         ref, ref_bound = dataclasses.replace(plan, counts=np.ones_like(f)).scores(f)

@@ -60,22 +60,22 @@ def test_vector_component_indices_are_1_to_s_once(tmp_path, capsys, body):
 
 
 def test_parse_weight_spec_formulas():
-    w = parse_weight_spec("product:1/j^2").resolve(3)
+    w = parse_weight_spec("product:1/j^2", 3)
     assert w.gammas == (1.0, 0.25, pytest.approx(1.0 / 9.0))
-    w = parse_weight_spec("product:c^j:0.95").resolve(2)
+    w = parse_weight_spec("product:c^j:0.95", 2)
     assert w.gammas == (0.95, pytest.approx(0.9025))
     with pytest.raises(ValueError):
-        parse_weight_spec("uniform:1")
+        parse_weight_spec("uniform:1", 2)
 
 
 def test_parse_weight_spec_files(tmp_path):
     lpath = tmp_path / "g.txt"
     lpath.write_text("0.5\n0.25\n\n0.125\n")
-    w = parse_weight_spec("product:list:%s" % lpath).resolve(3)
+    w = parse_weight_spec("product:list:%s" % lpath, 3)
     assert w.gammas == (0.5, 0.25, 0.125)
     gpath = tmp_path / "t.txt"
     gpath.write_text("1 0.9\n2 0.5\n1,2 0.7\n")
-    g = parse_weight_spec("general:%s" % gpath).resolve(2)
+    g = parse_weight_spec("general:%s" % gpath, 2)
     assert isinstance(g, GeneralWeights)
     assert g.gamma({1, 2}) == 0.7
 

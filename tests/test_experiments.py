@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from latgen import oracles
 from latgen.experiments import CONFIGS, DIMENSION, ExperimentConfig, run_experiment
+from latgen.numtheory import GeneratingVector
 
 
 def test_config_registry_shape():
@@ -69,6 +71,20 @@ def test_oracle_suite_runs_and_passes(tmp_path):
     assert os.path.exists(tmp_path / "oracle-suite.csv")
     stored = json.loads((tmp_path / "oracle-suite.report.json").read_text())
     assert stored == report
+
+
+def test_oracle_suite_names_the_moduli_where_fast_and_naive_differ(tmp_path, monkeypatch):
+    cbc_naive = oracles.cbc_naive
+
+    def wrong_at_31(N, s, gammas, tab):
+        v = cbc_naive(N, s, gammas, tab)
+        return GeneratingVector(N, v.z[:-1] + (N - v.z[-1],)) if N == 31 else v
+
+    monkeypatch.setattr(oracles, "cbc_naive", wrong_at_31)
+    report = run_experiment("oracle-suite", str(tmp_path))
+    check = next(c for c in report["checks"] if c["name"] == "fast vs naive CBC vectors")
+    assert not check["passed"] and not report["passed"]
+    assert check["detail"] == "vectors differ at korobov-cbc N=31, std-cbc N=31"
 
 
 def test_table1_shape_artifacts(tmp_path):

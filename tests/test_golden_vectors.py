@@ -50,7 +50,7 @@ def digest(z):
 
 def build():
     """Cell name -> digest of the vector the library builds today."""
-    return {name: digest(construct(algo, N, S, parse_weight_spec(spec), alpha).z)
+    return {name: digest(construct(algo, N, S, parse_weight_spec(spec, S), alpha).z)
             for name, algo, N, spec, alpha in cells()}
 
 

@@ -95,11 +95,13 @@ def _symmetric_table(N):
 @pytest.mark.parametrize("N", [2, 3, 4, 8, 61, 64, 131, 512, 1021, 2048])
 def test_unit_layout_rotates_for_every_unit(N):
     """For every unit z the layout's column is tab[k z mod N] over its slots,
-    and the slots with their negatives cover each residue count-many times."""
+    the slots with their negatives cover each residue count-many times, and
+    residue 0 is the last slot."""
     lay = unit_layout(N)
     assert lay.cyclic
     res = np.concatenate(lay.blocks + (lay.fixed,))  # the slots for z = 1
     assert res.shape == lay.counts.shape and lay.counts.sum() == N
+    assert lay.fixed[-1] == 0 and lay.counts[-1] == 1.0
     covered = np.zeros(N)
     np.add.at(covered, res, lay.counts / 2)
     np.add.at(covered, (N - res) % N, lay.counts / 2)

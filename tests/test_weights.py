@@ -9,7 +9,7 @@ from latgen.oracles import weight_of
 from latgen.weights import (
     GeneralWeights,
     ProductWeights,
-    WeightSpec,
+    parse_weight_spec,
     power_weights,
     subset_product_sum,
 )
@@ -57,7 +57,7 @@ def test_overflowing_weights_are_rejected():
     with pytest.raises(ValueError, match="gamma_2 = 1e\\+200\\^2.0 overflows"):
         power_weights(ProductWeights((0.5, 1e200)), 2.0)
     with pytest.raises(ValueError, match="gamma_309 = 10.0\\^309 overflows"):
-        WeightSpec("product-formula", formula="c^j", c=10.0).resolve(400)
+        parse_weight_spec("product:c^j:10", 400)
 
 
 def test_general_weights_need_every_subset():
@@ -114,38 +114,33 @@ def test_subset_product_sum_matches_subset_loop():
 
 
 def test_weight_spec_formulas():
-    assert WeightSpec("product-formula", formula="1/j^2").resolve(3).gammas == (
+    assert parse_weight_spec("product:1/j^2", 3).gammas == (
         1.0,
         0.25,
         pytest.approx(1.0 / 9.0),
     )
-    assert WeightSpec("product-formula", formula="1/j^3").resolve(2).gammas == (
+    assert parse_weight_spec("product:1/j^3", 2).gammas == (
         1.0,
         0.125,
     )
-    assert WeightSpec("product-formula", formula="c^j", c=0.95).resolve(2).gammas == (
+    assert parse_weight_spec("product:c^j:0.95", 2).gammas == (
         0.95,
         pytest.approx(0.95**2),
     )
-    with pytest.raises(ValueError):
-        WeightSpec("product-formula", formula="j^2").resolve(2)
+    with pytest.raises(ValueError, match="unrecognized weight spec"):
+        parse_weight_spec("product:j^2", 2)
 
 
-def test_weight_spec_list_and_table():
-    spec = WeightSpec("product-list", gammas=(0.5, 0.25, 0.125))
-    assert spec.resolve(2).gammas == (0.5, 0.25)
-    with pytest.raises(ValueError):
-        spec.resolve(4)
-    tspec = WeightSpec(
-        "general-table",
-        table=(
-            (frozenset({1}), 0.9),
-            (frozenset({2}), 0.5),
-            (frozenset({1, 2}), 0.7),
-        ),
-    )
-    w = tspec.resolve(2)
+def test_weight_spec_list_and_table(tmp_path):
+    lpath = tmp_path / "g.txt"
+    lpath.write_text("0.5\n0.25\n0.125\n")
+    assert parse_weight_spec("product:list:%s" % lpath, 2).gammas == (0.5, 0.25)
+    with pytest.raises(ValueError, match="weight list has 3 entries, need 4"):
+        parse_weight_spec("product:list:%s" % lpath, 4)
+    tpath = tmp_path / "t.txt"
+    tpath.write_text("1 0.9\n2 0.5\n1,2 0.7\n")
+    w = parse_weight_spec("general:%s" % tpath, 2)
     assert isinstance(w, GeneralWeights)
     assert weight_of({1, 2}, w) == 0.7
-    with pytest.raises(ValueError):
-        WeightSpec("bogus").resolve(2)
+    with pytest.raises(ValueError, match="unrecognized weight spec"):
+        parse_weight_spec("bogus", 2)
