@@ -13,13 +13,15 @@ q[k-1] == q[N-k-1] bit for bit, and the state p keeps one slot per +- pair
 of residues: the slots of numtheory.unit_layout but the last, residue 0,
 which is not in q. Every unit z = +-g^b (+-5^b) rotates each block by b,
 and the scores of z and N - z are bit-equal, so only z <= N/2 are scored,
-in the order of -b. A component costs the scoring below, the argmin and the
-update, all on contiguous memory: the fold is p times each slot's count of
-residues (2 for a pair), a long block is updated by a slice of its doubled
-kernel values, the short blocks and fixed slots by one row of the plan's
-row table. Only a component that rescores rebuilds q in natural order,
-with one gather, and reads the columns tab[k z mod N]: for prime N from the
-doubled power table at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
+in the order of -b. The plan reads the kernel values a candidate meets,
+tab[a z mod N] at each slot's residue a, one way: column(b), a slice of each
+long block's doubled kernel values and one row of the plan's row table. A
+component costs the scoring below, the argmin and the update
+p *= 1 + gamma * column(b), all on contiguous memory; the fold is p times
+each slot's count of residues (2 for a pair), and the start state is
+1 + gamma_1 * column(0), since z_1 = 1. Only a component that rescores
+gathers into natural order: q = p[natural] once, and column(b)[natural],
+which is tab[k z mod N] for k = 1..N-1, per rescored candidate.
 
 - Long blocks (longer than numtheory.ROW_SPAN): the scores are a cyclic
   correlation, a convolution of the fold with the reversed kernel values
@@ -27,8 +29,8 @@ doubled power table at dlog k + dlog z, for N = 2^n at (k z) & (N - 1).
   rotation -b; the fold keeps the layout's order. For prime N the one block
   has length H = (N-1)/2; its fold is convolved with two periods of the
   kernel as one zero-padded product of power-of-two length M >= N - 1,
-  whatever the factors of N - 1 (`spectral.convolver`; a power-of-two H
-  takes one length-H transform instead). For N = 2^n each long level is one
+  whatever the factors of N - 1 (`_spectrum`; a power-of-two H takes one
+  length-H transform instead). For N = 2^n each long level is one
   such correlation of length N/2^(c+2); the level spectra are summed and
   inverted once, at length N/4.
 - Short blocks and the fixed slots (N/2, and N/4 folded with 3N/4): their
@@ -53,14 +55,13 @@ a ValueError naming the component.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .error import lattice_kernel_sum
 from .kernel import LN4, fourier_decay_table, kernel_table
-from .numtheory import GeneratingVector, UnitColumns, UnitLayout, is_prime, unit_layout
-from .spectral import convolver
+from .numtheory import GeneratingVector, UnitColumns, is_prime, unit_layout
 from .weights import ProductWeights
 
 __all__ = [
@@ -104,24 +105,28 @@ def V_quality(v: GeneratingVector, w) -> float:
     return lattice_kernel_sum(v, _omega_table(v.N), w)
 
 
-def _gather_score(q: np.ndarray, column, z: int) -> float:
-    """sum_{k=1}^{N-1} q[k-1] * tab[k z mod N] -- one exact candidate score."""
-    return float(q @ column(z))
+def _gather_score(q: np.ndarray, plan: "ScoringPlan", b: int) -> float:
+    """sum_{k=1}^{N-1} q[k-1] * tab[k z mod N] for z = plan.z[b] -- one exact
+    candidate score, over the natural-order running product q."""
+    return float(q @ plan.column(b)[plan.natural])
 
 
-def _natural_column(layout: UnitLayout, tab: np.ndarray):
-    """z -> tab[k z mod N] for k = 1..N-1, the order of the state q.
-
-    For prime N it is read from the power table doubled:
-    k z = +-g^(dlog k + dlog z), so tab[k z mod N] = tt[dlog k + dlog z].
-    """
-    N = layout.N
-    if N & (N - 1) == 0:
-        k = np.arange(1, N, dtype=np.int64)
-        return lambda z: np.take(tab, (k * z) & (N - 1))
-    tt = np.tile(tab[layout.blocks[0]], 2)
-    dk = layout.dlog[1:]
-    return lambda z: np.take(tt, dk + layout.dlog[z])
+def _spectrum(b: np.ndarray):
+    """(size, offset, K, norm) for cyclic convolution with a fixed real b of
+    length n: c_k = sum_j a_j b_((k-j) mod n) is
+    irfft(rfft(a, size) * K, size)[offset : offset + n], and norm is the 2-norm
+    of what was transformed. A power-of-two n multiplies length-n spectra.
+    Any other n takes the linear convolution of a with two periods of b,
+    zero-padded to a power of two size >= 2n, and reads c at n..2n-1, so
+    numpy.fft never meets a length with large prime factors."""
+    n = b.shape[0]
+    if n & (n - 1):
+        b = np.concatenate([b, b])
+        size, offset = 1 << (2 * n - 1).bit_length(), n
+    else:
+        b = np.ascontiguousarray(b)  # so b @ b is the dot np.linalg.norm(b) takes
+        size, offset = n, 0
+    return size, offset, np.fft.rfft(b, size), math.sqrt(float(b @ b))
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,7 @@ class _Level:
 
     start: int  # p[start:stop] are the block's slots, a_0, a_1, ..., a_(L-1)
     stop: int
-    length: int  # transform length of the slice
-    K: np.ndarray  # the convolver spectrum of a_0, a_(L-1), ..., a_1, times the tiling factor
+    K: np.ndarray  # the spectrum of a_0, a_(L-1), ..., a_1, times the tiling factor
     step: int  # K lands on every step-th bin of the summed spectrum
     kernel_norm: float
     doubled: np.ndarray  # the block's kernel values a_0..a_(L-1), twice (UnitColumns)
@@ -142,14 +146,14 @@ class ScoringPlan:
     """Candidates z <= N/2 and what scores all of them at once.
 
     The state p has the slots of unit_layout(N) but the last: slot i stands
-    for the residues residues[i] and N - residues[i] (one residue for N/2),
-    whose entries of the natural-order running product are equal:
-    q = p[natural]. scores(p)[i] approximates _gather_score(q, column, z[i]);
-    the returned bound caps the difference.
+    for a residue a and N - a (one residue for N/2), whose entries of the
+    natural-order running product are equal: q = p[natural]. column(b) holds
+    tab[a z mod N] on the same slots for z = z[b], and scores(p)[b]
+    approximates the exact score _gather_score(p[natural], plan, b); the
+    returned bound caps the difference.
     """
 
     z: np.ndarray  # z[b] is the one of +-g^(-b) (+-5^(-b) for N = 2^n) below N/2
-    residues: np.ndarray  # int64, the residue each slot stands for
     natural: np.ndarray  # int64, the slot of each k = 1..N-1
     counts: np.ndarray  # residues per slot: the fold is p * counts
     levels: Tuple[_Level, ...]  # the blocks longer than ROW_SPAN
@@ -158,7 +162,18 @@ class ScoringPlan:
     short: int  # p[short:] are the short blocks' slots and the fixed ones
     rows: np.ndarray  # rows[b] @ f[short:] is their score at rotation b
     row_norm: float  # max_b ||rows[b]||_2
-    column: Callable[[int], np.ndarray]  # _natural_column of the plan's table
+
+    def column(self, b: int) -> np.ndarray:
+        """tab[a z mod N] at each slot's residue a, for z = z[b]: z rotates
+        each block by -b, taking slot i's a_i to a_(c+i mod L), c = -b mod L;
+        the short blocks and fixed slots are row b of the row table."""
+        parts = []
+        for lv in self.levels:
+            L = lv.stop - lv.start
+            c = -b % L
+            parts.append(lv.doubled[c : c + L])
+        parts.append(self.rows[b % self.rows.shape[0]])
+        return np.concatenate(parts)
 
     def scores(self, p: np.ndarray):
         f = p * self.counts
@@ -168,7 +183,7 @@ class ScoringPlan:
             weight = 0.0
             for lv in self.levels:
                 a = f[lv.start : lv.stop]
-                term = np.fft.rfft(a, lv.length) * lv.K
+                term = np.fft.rfft(a, self.size // lv.step) * lv.K
                 if spec is None:
                     spec = term
                 else:
@@ -198,16 +213,6 @@ class ScoringPlan:
             bound += (m + 1) * _EPS * _norm(fs) * self.row_norm
         return sc, bound
 
-    def update(self, p: np.ndarray, b: int, gamma: float):
-        """p *= 1 + gamma * tab[a z mod N] for each slot's residue a, in
-        place, for z = z[b]: z rotates each block by -b."""
-        for lv in self.levels:
-            L = lv.stop - lv.start
-            c = -b % L  # z takes slot i's a_i to a_(c+i mod L)
-            p[lv.start : lv.stop] *= 1.0 + gamma * lv.doubled[c : c + L]
-        if p.shape[0] > self.short:
-            p[self.short :] *= 1.0 + gamma * self.rows[b % self.rows.shape[0]]
-
 
 def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     """The scoring plan for prime N >= 3 or N = 2^n >= 2; tab is the
@@ -223,32 +228,29 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     """
     layout = unit_layout(N)
     cols = UnitColumns(layout, tab)
-    tab = cols.tab
     if not layout.cyclic:
         raise ValueError("the fast CBC needs a prime N >= 3 or N = 2^n")
     top = layout.blocks[0] if layout.blocks else np.ones(1, dtype=np.int64)
     Q = top.shape[0]
     zr = top[-np.arange(Q) % Q]
     # a_0, a_(L-1), ..., a_1 per long block; N = 2^n: power-of-two lengths
-    convs = [convolver(doubled[L:0:-1]) for doubled, L in cols.doubled]
+    spectra = [_spectrum(doubled[L:0:-1]) for doubled, L in cols.doubled]
     levels = []
     start = 0  # the long blocks lead the layout
-    for conv, (doubled, L) in zip(convs, cols.doubled):
-        levels.append(_Level(start=start, stop=start + L, length=conv.size,
-                             K=(Q // L) * conv.spectrum, step=Q // L, kernel_norm=conv.norm,
-                             doubled=doubled))
+    for (_, _, K, norm), (doubled, L) in zip(spectra, cols.doubled):
+        levels.append(_Level(start=start, stop=start + L, K=(Q // L) * K, step=Q // L,
+                             kernel_norm=norm, doubled=doubled))
         start += L
     residues = np.concatenate(layout.blocks + (layout.fixed,))[:-1]
     slot_of = np.empty(N, dtype=np.int64)
     slot_of[residues] = slot_of[N - residues] = np.arange(residues.shape[0])
     P = cols.rows.shape[0]
     rows = cols.rows[-np.arange(P) % P, :-1]
-    size, offset = (convs[0].size, convs[0].offset) if convs else (0, 0)
-    return ScoringPlan(z=np.minimum(zr, N - zr), residues=residues, natural=slot_of[1:],
+    size, offset = spectra[0][:2] if spectra else (0, 0)
+    return ScoringPlan(z=np.minimum(zr, N - zr), natural=slot_of[1:],
                        counts=layout.counts[:-1], levels=tuple(levels),
                        size=size, offset=offset, short=start, rows=rows,
-                       row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()),
-                       column=_natural_column(layout, tab))
+                       row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()))
 
 
 def _refined_argmin(plan: ScoringPlan, p: np.ndarray):
@@ -271,7 +273,7 @@ def _refined_argmin(plan: ScoringPlan, p: np.ndarray):
     best = None
     best_val = math.inf
     for b in near[np.argsort(plan.z[near])].tolist():
-        val = _gather_score(q, plan.column, int(plan.z[b]))
+        val = _gather_score(q, plan, b)
         if val < best_val:
             best_val = val
             best = b
@@ -285,7 +287,7 @@ def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray):
     z = [1]
     # q leaving double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        q = 1.0 + gammas[0] * tab[plan.residues]
+        q = 1.0 + gammas[0] * plan.column(0)  # z_1 = 1 = z[0]
         for d in range(2, s + 1):
             b = _refined_argmin(plan, q)
             if b is None:
@@ -294,7 +296,7 @@ def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray):
                     "so no z_%d can be chosen: the weights are too large" % (d - 1, d))
             z.append(int(plan.z[b]))
             if d < s:
-                plan.update(q, b, gammas[d - 1])
+                q *= 1.0 + gammas[d - 1] * plan.column(b)
     return GeneratingVector(N, tuple(z))
 
 

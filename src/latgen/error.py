@@ -26,9 +26,8 @@ import math
 
 import numpy as np
 
-from .kernel import fourier_decay_table
+from .kernel import cosine_dft, fourier_decay_table
 from .numtheory import ColumnSlices, GeneratingVector, UnitColumns, unit_layout
-from .spectral import cosine_dft
 from .weights import subset_product_sum
 
 __all__ = [

@@ -14,17 +14,18 @@ process that never builds such a table never loads scipy.
 The per-modulus tables, kernel_table and fourier_decay_table here and
 error.vartheta_table, share one format: a length-N array indexed by the
 residue a = k z mod N, exactly symmetric (tab[a] == tab[N - a]). The log-sine
-table, which is undefined at a = 0, stores tab[0] = 0 there.
+table, which is undefined at a = 0, stores tab[0] = 0 there. vartheta_table
+and the Hurwitz fold of fourier_decay_table fold their series by residue
+class, and cosine_dft turns the fold into values, one numpy.fft transform.
 """
 
 import math
 
 import numpy as np
 
-from .spectral import cosine_dft
-
 __all__ = [
     "LN4",
+    "cosine_dft",
     "kernel_table",
     "bernoulli_poly",
     "zeta",
@@ -32,6 +33,22 @@ __all__ = [
 ]
 
 LN4 = math.log(4.0)
+
+
+def cosine_dft(c) -> np.ndarray:
+    """tab[a] = sum_j c[j] cos(2 pi j a / n) for a real sequence c of length n,
+    one numpy.fft transform: the values at every residue of a series folded
+    by residue class.
+
+    Stored exactly symmetric, tab[a] == tab[n - a], which the fast CBC needs
+    of its kernel tables.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.shape[0] < 1:
+        raise ValueError("need a nonempty 1-d sequence")
+    tab = np.ascontiguousarray(np.fft.fft(c).real)
+    tab[1:] = 0.5 * (tab[1:] + tab[1:][::-1])
+    return tab
 
 
 def kernel_table(N: int) -> np.ndarray:

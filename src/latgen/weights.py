@@ -156,6 +156,35 @@ def subset_product_sum(w: Weights, columns, counts=None) -> float:
     return math.fsum(total)
 
 
+def _gamma_line(fields):
+    """A product:list: line: one gamma_j."""
+    if len(fields) != 1:
+        raise ValueError("expected one gamma, got %d fields" % len(fields))
+    return float(fields[0])
+
+
+def _subset_line(fields):
+    """A general: line: the subset u as comma-separated indices, then gamma_u."""
+    if len(fields) != 2:
+        raise ValueError("expected a subset and its gamma, got %d fields" % len(fields))
+    return frozenset(int(c) for c in fields[0].split(",")), float(fields[1])
+
+
+def _read_weight_file(path: str, parse) -> list:
+    """parse(fields) for each nonblank line of the weight file at path; a line
+    that parse refuses raises a ValueError naming the file and the line."""
+    out = []
+    with open(path) as fh:
+        for i, ln in enumerate(fh, start=1):
+            fields = ln.split()
+            if fields:
+                try:
+                    out.append(parse(fields))
+                except ValueError as e:
+                    raise ValueError("%s, line %d: %s" % (path, i, e)) from None
+    return out
+
+
 def parse_weight_spec(text: str, s: int) -> Weights:
     """The weights of coordinates 1..s that text names. Grammar:
     product:1/j^2 | product:1/j^3 | product:c^j:<c> | product:list:<path> |
@@ -168,19 +197,13 @@ def parse_weight_spec(text: str, s: int) -> Weights:
         c = float(text.rsplit(":", 1)[1])
         return ProductWeights(tuple(_power(c, j, j) for j in range(1, s + 1)))
     if text.startswith("product:list:"):
-        with open(text.split(":", 2)[2]) as fh:
-            gammas = [float(ln) for ln in fh if ln.strip()]
+        gammas = _read_weight_file(text.split(":", 2)[2], _gamma_line)
         if len(gammas) < s:
             raise ValueError("weight list has %d entries, need %d" % (len(gammas), s))
         return ProductWeights(gammas[:s])
     if text.startswith("general:"):
-        table = {}
-        with open(text.split(":", 1)[1]) as fh:
-            for ln in fh:
-                if not ln.strip():
-                    continue
-                subset_str, gamma_str = ln.split()
-                table[frozenset(int(c) for c in subset_str.split(","))] = float(gamma_str)
+        table = dict(_read_weight_file(text.split(":", 1)[1], _subset_line))
         table.setdefault(frozenset(), 1.0)
         return GeneralWeights(s, table)
     raise ValueError("unrecognized weight spec %r" % (text,))
+

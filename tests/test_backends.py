@@ -10,9 +10,9 @@ import pytest
 
 import latgen
 from latgen import _kernels, _slowpath
-from latgen.cbc import _gather_score, _natural_column
+from latgen.cbc import _gather_score, scoring_plan
 from latgen.kernel import kernel_table
-from latgen.numtheory import ColumnSlices, unit_layout
+from latgen.numtheory import ColumnSlices
 
 
 def test_backend_is_reported():
@@ -25,16 +25,17 @@ def test_accumulate_and_gather_backends_agree():
     rng = np.random.default_rng(5)
     for N, zs in ((64, (1, 7, 33, 63)), (61, (1, 2, 17, 60))):
         tab = kernel_table(N)
-        column = _natural_column(unit_layout(N), tab)
+        plan = scoring_plan(N, tab)
         q1 = rng.uniform(0.5, 2.0, size=N - 1)
         q2 = q1.copy()
         for z in zs:
-            q1 *= 1.0 + 0.11 * column(z)
+            b = int(np.flatnonzero(plan.z == min(z, N - z))[0])  # tab[k z] == tab[k (N - z)]
+            q1 *= 1.0 + 0.11 * plan.column(b)[plan.natural]
             for i in range(N - 1):
                 q2[i] *= 1.0 + 0.11 * tab[(i + 1) * z % N]
             assert np.array_equal(q1, q2)
             loop = sum(q2[i] * tab[(i + 1) * z % N] for i in range(N - 1))
-            assert _gather_score(q1, column, z) == pytest.approx(loop, rel=1e-12)
+            assert _gather_score(q1, plan, b) == pytest.approx(loop, rel=1e-12)
 
 
 def test_product_sum_backends_agree():

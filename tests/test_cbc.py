@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from latgen.cbc import (
     V_quality,
     _cbc_greedy,
     _gather_score,
-    _natural_column,
     _omega_table,
     construct_korobov_cbc,
     construct_standard_cbc,
@@ -48,6 +48,13 @@ def test_V_quality_general_weights_agrees_with_product():
     assert V_quality(v, g) == pytest.approx(V_quality(v, w), rel=1e-10, abs=1e-10)
 
 
+def _slot_residues(N):
+    """The residue each slot of the fast CBC's state stands for: the slots of
+    unit_layout(N) but the last, residue 0."""
+    layout = unit_layout(N)
+    return np.concatenate(layout.blocks + (layout.fixed,))[:-1]
+
+
 def _conv_reference(a, b):
     """Naive cyclic convolution c_k = sum_j a_j b_{(k - j) mod n}."""
     n = len(a)
@@ -64,7 +71,7 @@ def test_rader_scores_match_direct(N):
     q += q[::-1]  # q[k-1] == q[N-k-1], as for every running product
     tab = _omega_table(N)
     plan = scoring_plan(N, tab)
-    scores, bound = plan.scores(q[plan.residues - 1])
+    scores, bound = plan.scores(q[_slot_residues(N) - 1])
     assert sorted(plan.z.tolist()) == list(range(1, (N - 1) // 2 + 1))
     # Rader: with k = g^i, z = g^m the scores are a cyclic convolution
     L = N - 1
@@ -122,6 +129,7 @@ def test_standard_cbc_without_blocks_equals_naive(N, alpha):
     tab = fourier_decay_table(alpha, N)
     plan = scoring_plan(N, tab)
     assert plan.z.tolist() == [1] and not plan.levels
+    assert np.array_equal(plan.column(0)[plan.natural], tab[1:])
     assert construct_standard_cbc(N, 10, alpha, w) == cbc_naive(N, 10, w.gammas, tab)
     huge = ProductWeights(tuple(1e30**j for j in range(1, 11)))
     with pytest.raises(ValueError) as fast:
@@ -140,7 +148,8 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
     """Every candidate's plan score lies within the returned bound of the
     exact gather sum, along a greedy run under 0.95^j weights. The sizes
     straddle ROW_SPAN: prime N = 61, 127 (H <= 64) and N = 2^n <= 256 are
-    scored by the row table alone, 131 and 257 by one transform."""
+    scored by the row table alone, 131 and 257 by one transform. The plan's
+    column of each candidate, gathered into natural order, is tab[k z mod N]."""
     if alpha is None:
         tab, v = _omega_table(N), construct_korobov_cbc(N, 60, W095)
     else:
@@ -148,15 +157,18 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
         v = construct_standard_cbc(N, 60, alpha, W095)
     plan = scoring_plan(N, tab)
     k = np.arange(1, N)
+    for b, z in enumerate(plan.z.tolist()):
+        assert np.array_equal(plan.column(b)[plan.natural], tab[k * z % N]), z
+    res = _slot_residues(N)
     q = 1.0 + W095.gamma(1) * tab[1:]
     for d in range(2, 61):
         if d in (2, 30, 60):
-            scores, bound = plan.scores(q[plan.residues - 1])
+            scores, bound = plan.scores(q[res - 1])
             exact = np.array([q @ tab[k * z % N] for z in plan.z.tolist()])
             assert np.max(np.abs(scores - exact)) <= bound
-            for z in plan.z.tolist()[:50]:
-                assert _gather_score(q, plan.column, z) == q @ tab[k * z % N]
-        q *= 1.0 + W095.gamma(d) * plan.column(v.z[d - 1])
+            for b, z in enumerate(plan.z.tolist()[:50]):
+                assert _gather_score(q, plan, b) == q @ tab[k * z % N]
+        q *= 1.0 + W095.gamma(d) * tab[k * v.z[d - 1] % N]
     if alpha is None and N > 61:  # at N = 61 omega stays below 4.6, q below 1e17
         assert np.max(np.abs(q)) > 1e20
 
@@ -177,7 +189,7 @@ def _layout_fold(q, res):
 @pytest.mark.parametrize("N", [131, 8147, 8, 256, 2048, 1 << 14])
 def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     """Along a fast greedy run, the running product is kept on the slots of
-    unit_layout(N) but its last: the plan's residues and counts are the
+    unit_layout(N) but its last: the plan's slots and counts are the
     layout's without residue 0, the state holds the natural-order q of
     cbc_naive at each slot's residue after every component, and its scores
     and bound are exactly those of the fold gathered from that q."""
@@ -195,10 +207,11 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     v = _cbc_greedy(N, s, gammas, tab)
     assert len(states) == s - 1
     layout = unit_layout(N)
-    res = np.concatenate(layout.blocks + (layout.fixed,))[:-1]  # all slots but residue 0
+    res = _slot_residues(N)
     plan = states[0][0]
-    assert np.array_equal(plan.residues, res) and np.array_equal(plan.counts, layout.counts[:-1])
-    column = _natural_column(layout, tab)
+    assert np.array_equal(plan.natural[res - 1], np.arange(res.shape[0]))
+    assert np.array_equal(plan.counts, layout.counts[:-1])
+    k = np.arange(1, N)
     q = 1.0 + gammas[0] * tab[1:]
     for d, (plan, p) in enumerate(states, start=2):
         assert np.array_equal(p, q[res - 1]) and np.array_equal(p[plan.natural], q), d
@@ -207,36 +220,39 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
         sc, bound = plan.scores(p)
         ref, ref_bound = dataclasses.replace(plan, counts=np.ones_like(f)).scores(f)
         assert np.array_equal(sc, ref) and bound == ref_bound, d
-        q *= 1.0 + gammas[d - 1] * column(v.z[d - 1])
+        q *= 1.0 + gammas[d - 1] * tab[k * v.z[d - 1] % N]
 
 
 @pytest.mark.parametrize("N", [61, 131, 8147, 64, 2048])
 def test_fast_mode_reads_columns_only_to_rescore(N, monkeypatch):
-    """The fast CBC scores and updates on the slots; it reads a
-    natural-order column once per rescored candidate and never otherwise."""
-    gathers = []
-    columns = []
+    """The fast CBC starts, scores and updates on the slots; it gathers into
+    natural order only to rescore: the state once per rescoring component,
+    then one column per rescored candidate, and never otherwise."""
+    events = []
 
-    def counting_gather(q, column, z):
-        gathers.append(z)
-        return _gather_score(q, column, z)
+    class CountingPlan:
+        """The plan, recording each read of its natural-order index."""
 
-    def counting_plan(N, tab):
-        plan = scoring_plan(N, tab)
+        def __init__(self, plan):
+            self._plan = plan
 
-        def column(z):
-            columns.append(z)
-            return plan.column(z)
+        def __getattr__(self, name):
+            if name == "natural":
+                events.append("N")
+            return getattr(self._plan, name)
 
-        return dataclasses.replace(plan, column=column)
+    def counting_gather(q, plan, b):
+        events.append("G")
+        return _gather_score(q, plan, b)
 
     monkeypatch.setattr(cbc, "_gather_score", counting_gather)
-    monkeypatch.setattr(cbc, "scoring_plan", counting_plan)
+    monkeypatch.setattr(cbc, "scoring_plan", lambda N, tab: CountingPlan(scoring_plan(N, tab)))
     if N % 2:
         construct_korobov_cbc(N, 30, W095)
     construct_standard_cbc(N, 30, 2.0, power_weights(W095, 2.0))
-    assert gathers  # the second component rescores its tied candidates
-    assert columns == gathers
+    assert "G" in events  # the second component rescores its tied candidates
+    # per rescoring component: q = p[natural], then column(b)[natural] per candidate
+    assert re.fullmatch(r"(N(GN)+)+", "".join(events)), "".join(events)
 
 
 @pytest.mark.parametrize("N", [8, 256, 61, 127])
@@ -255,7 +271,7 @@ def test_short_block_plans_call_no_fft(N, monkeypatch):
         monkeypatch.setattr(np.fft, name, no_fft)
     plan = scoring_plan(N, tab)
     assert not plan.levels
-    plan.scores(np.ones(plan.residues.shape[0]))
+    plan.scores(np.ones(plan.counts.shape[0]))
     assert _cbc_greedy(N, 12, gammas, tab) == naive
 
 
@@ -288,9 +304,9 @@ def test_bound_stays_finite_for_large_running_products(monkeypatch):
     naive = cbc_naive(509, 34, w.gammas, _omega_table(509))
     calls = []
 
-    def counting(q, column, z):
-        calls.append(z)
-        return _gather_score(q, column, z)
+    def counting(q, plan, b):
+        calls.append(b)
+        return _gather_score(q, plan, b)
 
     monkeypatch.setattr(cbc, "_gather_score", counting)
     assert construct_korobov_cbc(509, 34, w) == naive

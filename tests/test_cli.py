@@ -390,16 +390,27 @@ def test_unusable_weights_exit_2_with_one_line(tmp_path, capsys, argv, cause):
 
 def test_incomplete_general_weights_exit_2_with_one_line(tmp_path, capsys):
     """A general: weight file that lacks a subset of the vector's coordinates
-    ends in one line naming the first missing subset."""
+    ends in one line naming the first missing subset; a weight file line that
+    does not parse ends in one line naming the file and the line."""
     vec = str(tmp_path / "v.txt")
     write_vector(vec, GeneratingVector(16, (1, 3, 5)))
     weights = tmp_path / "g.txt"
-    weights.write_text("1 0.5\n2 0.25\n")
-    assert main(["error", "--vector", vec, "--alpha", "2",
-                 "--weights", "general:%s" % weights]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: "), err
-    assert "no gamma_u for u = {3}" in err, err
+    cases = [
+        ("general", "1 0.5\n2 0.25\n", "no gamma_u for u = {3}"),
+        ("general", "1 0.5\n\n2 0.5 extra\n",
+         "g.txt, line 3: expected a subset and its gamma, got 3 fields"),
+        ("general", "1 x\n", "g.txt, line 1: could not convert string to float: 'x'"),
+        ("general", "1 0.5\n1,,2 0.1\n", "g.txt, line 2: invalid literal for int()"),
+        ("product:list", "0.5\n0.25\nx\n",
+         "g.txt, line 3: could not convert string to float: 'x'"),
+    ]
+    for kind, text, msg in cases:
+        weights.write_text(text)
+        assert main(["error", "--vector", vec, "--alpha", "2",
+                     "--weights", "%s:%s" % (kind, weights)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert msg in err, err
 
 
 def test_points_output(tmp_path):

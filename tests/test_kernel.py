@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from latgen.kernel import LN4, bernoulli_poly, fourier_decay_table, kernel_table, zeta
+from latgen.kernel import (
+    LN4,
+    bernoulli_poly,
+    cosine_dft,
+    fourier_decay_table,
+    kernel_table,
+    zeta,
+)
 from latgen.oracles import fourier_decay_sum, log_inv_sin2, omega, vartheta_truncated
-from latgen.spectral import cosine_dft
 
 
 def test_omega_values():
