@@ -14,14 +14,18 @@ of residues: the slots of numtheory.unit_layout but the last, residue 0,
 which is not in q. Every unit z = +-g^b (+-5^b) rotates each block by b,
 and the scores of z and N - z are bit-equal, so only z <= N/2 are scored,
 in the order of -b. The plan reads the kernel values a candidate meets,
-tab[a z mod N] at each slot's residue a, one way: column(b), a slice of each
-long block's doubled kernel values and one row of the plan's row table. A
-component costs the scoring below, the argmin and the update
-p *= 1 + gamma * column(b), all on contiguous memory; the fold is p times
-each slot's count of residues (2 for a pair), and the start state is
-1 + gamma_1 * column(0), since z_1 = 1. Only a component that rescores
-gathers into natural order: q = p[natural] once, and column(b)[natural],
-which is tab[k z mod N] for k = 1..N-1, per rescored candidate.
+tab[a z mod N] at each slot's residue a, one way: column(b), which is
+numtheory.UnitColumns.column at rotation -b, a slice of each long block's
+doubled kernel values and one row of the row table. A component costs the
+scoring below, the argmin and the update p *= 1 + gamma * column(b), all on
+contiguous memory, and the start state is 1 + gamma_1 * column(0), since
+z_1 = 1. The scores are those of the fold, p times each slot's count of
+residues: every slot of a long block is a +- pair, whose factor 2 the plan
+keeps in that level's spectrum, so only the short blocks and the fixed slots
+multiply p by their counts. Only a component that rescores gathers into
+natural order: q = p[natural] once (natural is UnitLayout.slot[1:]), and
+column(b)[natural], which is tab[k z mod N] for k = 1..N-1, per rescored
+candidate.
 
 - Long blocks (longer than numtheory.ROW_SPAN): the scores are a cyclic
   correlation, a convolution of the fold with the reversed kernel values
@@ -131,14 +135,13 @@ def _spectrum(b: np.ndarray):
 
 @dataclass(frozen=True)
 class _Level:
-    """One cyclic convolution: the fold f[start:stop] against the spectrum K."""
+    """One cyclic convolution: the state p[start:stop] against the spectrum K."""
 
     start: int  # p[start:stop] are the block's slots, a_0, a_1, ..., a_(L-1)
     stop: int
-    K: np.ndarray  # the spectrum of a_0, a_(L-1), ..., a_1, times the tiling factor
+    K: np.ndarray  # the spectrum of a_0, a_(L-1), ..., a_1, times 2 and the tiling factor
     step: int  # K lands on every step-th bin of the summed spectrum
-    kernel_norm: float
-    doubled: np.ndarray  # the block's kernel values a_0..a_(L-1), twice (UnitColumns)
+    kernel_norm: float  # twice the 2-norm of what K transforms
 
 
 @dataclass(frozen=True)
@@ -148,41 +151,34 @@ class ScoringPlan:
     The state p has the slots of unit_layout(N) but the last: slot i stands
     for a residue a and N - a (one residue for N/2), whose entries of the
     natural-order running product are equal: q = p[natural]. column(b) holds
-    tab[a z mod N] on the same slots for z = z[b], and scores(p)[b]
-    approximates the exact score _gather_score(p[natural], plan, b); the
-    returned bound caps the difference.
+    tab[a z mod N] on the same slots for z = z[b], read from cols, and
+    scores(p)[b] approximates the exact score _gather_score(p[natural],
+    plan, b); the returned bound caps the difference.
     """
 
     z: np.ndarray  # z[b] is the one of +-g^(-b) (+-5^(-b) for N = 2^n) below N/2
-    natural: np.ndarray  # int64, the slot of each k = 1..N-1
-    counts: np.ndarray  # residues per slot: the fold is p * counts
+    natural: np.ndarray  # int64, the slot of each k = 1..N-1 (UnitLayout.slot[1:])
+    cols: UnitColumns  # the kernel values on the layout's slots
     levels: Tuple[_Level, ...]  # the blocks longer than ROW_SPAN
     size: int  # length of the one inverse transform
     offset: int  # the scores start here in the inverse transform
     short: int  # p[short:] are the short blocks' slots and the fixed ones
-    rows: np.ndarray  # rows[b] @ f[short:] is their score at rotation b
+    short_counts: np.ndarray  # residues per slot of p[short:]
+    rows: np.ndarray  # rows[b] @ (p[short:] * short_counts) is their score at rotation b
     row_norm: float  # max_b ||rows[b]||_2
 
     def column(self, b: int) -> np.ndarray:
-        """tab[a z mod N] at each slot's residue a, for z = z[b]: z rotates
-        each block by -b, taking slot i's a_i to a_(c+i mod L), c = -b mod L;
-        the short blocks and fixed slots are row b of the row table."""
-        parts = []
-        for lv in self.levels:
-            L = lv.stop - lv.start
-            c = -b % L
-            parts.append(lv.doubled[c : c + L])
-        parts.append(self.rows[b % self.rows.shape[0]])
-        return np.concatenate(parts)
+        """tab[a z mod N] at each slot's residue a, for z = z[b], which
+        rotates every block by -b (UnitColumns.column), without residue 0."""
+        return self.cols.column(-b % self.z.shape[0])[:-1]
 
     def scores(self, p: np.ndarray):
-        f = p * self.counts
         bound = 0.0
         if self.levels:
             spec = None
             weight = 0.0
             for lv in self.levels:
-                a = f[lv.start : lv.stop]
+                a = p[lv.start : lv.stop]
                 term = np.fft.rfft(a, self.size // lv.step) * lv.K
                 if spec is None:
                     spec = term
@@ -197,9 +193,9 @@ class ScoringPlan:
             # the inverse. The measured distance to the gather sum stays below
             # 2% of this.
             bound = 3 * 8 * _EPS * math.log2(max(self.size, 2)) * weight
-        m = f.shape[0] - self.short
+        m = self.short_counts.shape[0]
         if m:
-            fs = f[self.short :]
+            fs = p[self.short :] * self.short_counts
             part = self.rows @ fs
             if self.levels:
                 sc.reshape(-1, part.shape[0])[...] += part
@@ -209,7 +205,7 @@ class ScoringPlan:
             # however BLAS splits it) and the addition to the transform's
             # score leave each entry within gamma_(m+2) sum_i |r_i f_i| of
             # exact, and gamma_(m+2) <= (m + 1) eps; Cauchy-Schwarz caps the
-            # sum by ||rows[b]||_2 ||f[short:]||_2.
+            # sum by ||rows[b]||_2 ||fs||_2.
             bound += (m + 1) * _EPS * _norm(fs) * self.row_norm
         return sc, bound
 
@@ -237,19 +233,17 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     spectra = [_spectrum(doubled[L:0:-1]) for doubled, L in cols.doubled]
     levels = []
     start = 0  # the long blocks lead the layout
-    for (_, _, K, norm), (doubled, L) in zip(spectra, cols.doubled):
-        levels.append(_Level(start=start, stop=start + L, K=(Q // L) * K, step=Q // L,
-                             kernel_norm=norm, doubled=doubled))
+    for (_, _, K, norm), (_, L) in zip(spectra, cols.doubled):
+        # every slot of a long block is a +- pair: the fold's factor 2, exact, goes into K
+        levels.append(_Level(start=start, stop=start + L, K=(2 * Q // L) * K, step=Q // L,
+                             kernel_norm=2 * norm))
         start += L
-    residues = np.concatenate(layout.blocks + (layout.fixed,))[:-1]
-    slot_of = np.empty(N, dtype=np.int64)
-    slot_of[residues] = slot_of[N - residues] = np.arange(residues.shape[0])
     P = cols.rows.shape[0]
     rows = cols.rows[-np.arange(P) % P, :-1]
     size, offset = spectra[0][:2] if spectra else (0, 0)
-    return ScoringPlan(z=np.minimum(zr, N - zr), natural=slot_of[1:],
-                       counts=layout.counts[:-1], levels=tuple(levels),
-                       size=size, offset=offset, short=start, rows=rows,
+    return ScoringPlan(z=np.minimum(zr, N - zr), natural=layout.slot[1:], cols=cols,
+                       levels=tuple(levels), size=size, offset=offset, short=start,
+                       short_counts=layout.counts[start:-1], rows=rows,
                        row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()))
 
 

@@ -68,6 +68,4 @@ def H_quantity(v: GeneratingVector, w) -> float:
     N = v.N
     if N & (N - 1) != 0:
         raise ValueError("H is defined for N = 2^n")
-    if any(zj % 2 == 0 for zj in v.z):
-        raise ValueError("all components must be odd")
     return lattice_kernel_sum(v, kernel_table(N), w)

@@ -122,17 +122,6 @@ def zeta(alpha: float) -> float:
     return head + tail
 
 
-def _is_even_int(alpha) -> bool:
-    return float(alpha).is_integer() and int(alpha) % 2 == 0 and int(alpha) in _BERNOULLI_COEFFS
-
-
-def _decay_closed_form(alpha: int, x):
-    """(-1)^(alpha/2+1) (2 pi)^alpha B_alpha(x) / alpha! for even alpha."""
-    a = int(alpha)
-    sign = -1.0 if (a // 2) % 2 == 0 else 1.0
-    return sign * (2.0 * math.pi) ** a / math.factorial(a) * bernoulli_poly(a, x)
-
-
 def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     """The decay sum at every lattice residue: table[a] = sum_{m != 0}
     e^{2 pi i m a / N} / |m|^alpha (oracles.fourier_decay_sum(alpha, a/N)).
@@ -144,9 +133,11 @@ def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     fold needs N^alpha within double range: a larger alpha raises ValueError.
     """
     _check_alpha(alpha)
-    if _is_even_int(alpha):
-        a = np.arange(N) / N
-        table = _decay_closed_form(int(alpha), a)
+    if alpha in _BERNOULLI_COEFFS:
+        # (-1)^(alpha/2+1) (2 pi)^alpha B_alpha(a/N) / alpha!
+        a = int(alpha)
+        c = (-1.0 if (a // 2) % 2 == 0 else 1.0) * (2.0 * math.pi) ** a / math.factorial(a)
+        table = c * bernoulli_poly(a, np.arange(N) / N)
         table[1:] = 0.5 * (table[1:] + table[1:][::-1])
         return table
     # latgen's one use of scipy, imported here and not at start-up (see above)

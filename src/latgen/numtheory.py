@@ -11,10 +11,10 @@ tab[a] == tab[N - a] the ordered values for k z, z = +-g^b, are those for z = 1
 rotated by b. For N = 2^n the residue k = 2^c k' (k' odd) sits in level c,
 whose odd part k' runs through the cosets +-5^i mod N/2^c; z = +-5^b rotates
 every level by b. The few residues no unit moves (N/2, N/4, 3N/4 for
-N = 2^n, and 0) come last, 0 the very last. A lattice sum over k then reads
-each column as slices of one table, with no modular arithmetic and no
-gather per column; other moduli keep the natural order k = 0..N-1 and
-gather tab[k z mod N].
+N = 2^n, and 0) come last, 0 the very last; a unit's rotation b is its slot.
+A lattice sum over k then reads each column as slices of one table, with no
+modular arithmetic and no gather per column; other moduli keep the natural
+order k = 0..N-1 and gather tab[k z mod N].
 """
 
 from dataclasses import dataclass
@@ -60,7 +60,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -192,11 +192,12 @@ class UnitLayout:
     for prime N. Residue 0 comes last, so all slots but the last hold the
     residues k = 1..N-1 (the fast CBC keeps its state on those). Block c
     (level c of N = 2^n, or the one block of prime N) holds
-    a_i = 2^c (5^i mod N/2^c), resp. g^i, for i < its length L_c; for a unit
-    z = +-5^b (+-g^b), dlog[z] = b, the residue a_i z mod N is
-    +-a_(i+b mod L_c). counts holds how many residues k each slot stands for
-    (2 for a +- pair, 1 for 0 and N/2) and sums to N. Moduli neither prime nor
-    2^n are not cyclic: their slots are k = 0..N-1, one each, in natural order.
+    a_i = 2^c (5^i mod N/2^c), resp. g^i, for i < its length L_c. slot[k] is
+    the slot of residue k and of N - k; a unit z = +-5^b (+-g^b) is in slot b
+    (block 0 leads), and a_i z mod N is +-a_(i+b mod L_c). counts holds how
+    many residues k each slot stands for (2 for a +- pair, 1 for 0 and N/2)
+    and sums to N. Moduli neither prime nor 2^n are not cyclic: their slots
+    are k = 0..N-1, one each, in natural order.
     """
 
     N: int
@@ -204,7 +205,7 @@ class UnitLayout:
     blocks: Tuple[np.ndarray, ...]  # int64 residues, longest first
     fixed: np.ndarray  # int64 residues, 0 last; all of 0..N-1 when not cyclic
     counts: np.ndarray  # float multiplicity of each slot
-    dlog: np.ndarray  # int32, dlog[z] = b for each unit z when cyclic, else -1
+    slot: np.ndarray  # int64, slot[k] is the slot of residue k = 0..N-1
 
     def check_table(self, tab) -> np.ndarray:
         """tab as floats, once it is known to have length N and to be exactly
@@ -235,29 +236,27 @@ def unit_layout(N: int) -> UnitLayout:
     """The unit layout of the residues mod N (see UnitLayout)."""
     if not 2 <= N < MODULUS_LIMIT:
         raise ValueError("need 2 <= N < 2^31")
-    dlog = np.full(N, -1, dtype=np.int32)
     if N & (N - 1) == 0:
-        Q = max(N // 4, 1)
-        pw = _powers(5, Q, N)
+        pw = _powers(5, max(N // 4, 1), N)
         blocks = tuple((pw[: N >> (c + 2)] & ((N >> c) - 1)) << c
                        for c in range(N.bit_length() - 3))
         m = min(N.bit_length(), 3) - 1  # N = 2 has no N/4
         fixed = np.array([N // 2, N // 4][:m] + [0], dtype=np.int64)
         fixed_counts = [1.0, 2.0][:m] + [1.0]
     elif is_prime(N):
-        Q = (N - 1) // 2
-        pw = _powers(primitive_root(N), Q, N)
-        blocks = (pw,)
+        blocks = (_powers(primitive_root(N), (N - 1) // 2, N),)
         fixed = np.zeros(1, dtype=np.int64)
         fixed_counts = [1.0]
     else:
-        return UnitLayout(N, False, (), np.arange(N, dtype=np.int64), np.ones(N), dlog)
-    b = np.arange(Q, dtype=np.int64)
-    dlog[pw] = b
-    dlog[N - pw] = b
-    counts = np.full(sum(bl.shape[0] for bl in blocks) + fixed.shape[0], 2.0)
-    counts[counts.shape[0] - fixed.shape[0] :] = fixed_counts
-    return UnitLayout(N, True, blocks, fixed, counts, dlog)
+        natural = np.arange(N, dtype=np.int64)
+        return UnitLayout(N, False, (), natural, np.ones(N), natural)
+    res = np.concatenate(blocks + (fixed,))
+    slot = np.empty(N, dtype=np.int64)
+    slot[res] = idx = np.arange(res.shape[0])
+    slot[N - res[:-1]] = idx[:-1]  # res[-1] = 0 is its own negative
+    counts = np.full(res.shape[0], 2.0)
+    counts[res.shape[0] - fixed.shape[0] :] = fixed_counts
+    return UnitLayout(N, True, blocks, fixed, counts, slot)
 
 
 class ColumnSlices:
@@ -305,10 +304,11 @@ class UnitColumns:
 
     tab is residue-indexed and exactly symmetric (UnitLayout.check_table). A
     block longer than ROW_SPAN is stored twice in a row (doubled), so the
-    values that a rotation by b meets are one slice of it. The shorter blocks
+    values that a rotation by r meets are one slice of it. The shorter blocks
     and the fixed slots are stored once per rotation, as the rows of one
-    table (rows). All of them are views of one contiguous buffer, so that the
-    columns of a cyclic layout are ColumnSlices of it (columns).
+    table (rows). All of them are views of one contiguous buffer. A unit z
+    rotates every block by r = layout.slot[z]: column(r) reads the values at
+    rotation r, and columns(zs) the same slices as ColumnSlices.
     """
 
     def __init__(self, layout: UnitLayout, tab):
@@ -333,19 +333,27 @@ class UnitColumns:
         self._starts = starts
         self._lengths = np.array(lengths, dtype=np.int64)
 
+    def column(self, r: int) -> np.ndarray:
+        """The values at rotation r of a cyclic layout, tab[a z mod N] at each
+        slot's residue a for the units z in slot r: each long block's doubled
+        values from r mod L, then row r mod P of the row table."""
+        parts = [tt[r % L : r % L + L] for tt, L in self.doubled]
+        parts.append(self.rows[r % self.rows.shape[0]])
+        return np.concatenate(parts)
+
     def columns(self, zs):
         """The columns for the units zs: ColumnSlices of the buffer when the
         layout is cyclic, else an iterator of gathers tab[k z mod N]."""
         lay = self.layout
         if not lay.cyclic:
             return (self.tab[lay.fixed * z % lay.N] for z in zs)
-        b = lay.dlog[np.asarray(zs, dtype=np.int64)]
-        bad = np.flatnonzero(b < 0)
+        zs = np.asarray(zs, dtype=np.int64)
+        bad = np.flatnonzero(np.gcd(zs, lay.N) != 1)
         if bad.size:
             raise ValueError("z = %d is not a unit mod %d" % (zs[bad[0]], lay.N))
-        b = b.astype(np.int64)[:, None]
+        r = lay.slot[zs][:, None]  # as in column: r mod L, then row r mod P
         L = self._lengths
-        offsets = np.empty((b.shape[0], L.shape[0]), dtype=np.int64)
-        offsets[:, :-1] = self._starts[:-1] + b % L[:-1]
-        offsets[:, -1:] = self._starts[-1] + (b % self.rows.shape[0]) * L[-1]
+        offsets = np.empty((r.shape[0], L.shape[0]), dtype=np.int64)
+        offsets[:, :-1] = self._starts[:-1] + r % L[:-1]
+        offsets[:, -1:] = self._starts[-1] + (r % self.rows.shape[0]) * L[-1]
         return ColumnSlices(self.buf, offsets, L)

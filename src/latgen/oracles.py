@@ -6,6 +6,8 @@ or fold, so that it shares no code with the library path it checks:
 - omega, log_inv_sin2, vartheta_truncated and fourier_decay_sum evaluate the
   kernels one point at a time (kernel_table, error.vartheta_table and
   kernel.fourier_decay_table build the same values for every residue);
+  fourier_decay_sum takes the Bernoulli polynomial in exact rational
+  arithmetic at even alpha, the truncated series otherwise;
 - wce_bruteforce enumerates the dual lattice for the worst-case error e,
   with a rigorous tail bound (error.wce_product);
 - h_naive sums the digit-wise quality h of CBC-DBD over subsets
@@ -19,11 +21,12 @@ Nothing in the library imports this module.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .kernel import _check_alpha, _decay_closed_form, _is_even_int, zeta
+from .kernel import _check_alpha, zeta
 from .numtheory import GeneratingVector
 from .weights import GeneralWeights, Weights
 
@@ -89,15 +92,23 @@ def _decay_truncated(alpha: float, x: float, tol: float) -> float:
 def fourier_decay_sum(alpha: float, x: float, tol: float = 1e-12) -> float:
     """sum_{m in Z, m != 0} e^{2 pi i m x} / |m|^alpha.
 
-    Closed form via the Bernoulli polynomial for even integer alpha; otherwise
-    a truncated cosine series with absolute error <= tol.
+    For alpha in {2, 4, 6, 8} the closed form
+    (-1)^(alpha/2+1) (2 pi)^alpha B_alpha(x) / alpha!, with B_alpha(x) / alpha!
+    evaluated exactly at the rational x and rounded once; otherwise a
+    truncated cosine series with absolute error <= tol.
     """
     _check_alpha(alpha)
     if tol <= 0.0:
         raise ValueError("requires tol > 0")
     x = x % 1.0
-    if _is_even_int(alpha):
-        return float(_decay_closed_form(int(alpha), x))
+    if alpha in (2.0, 4.0, 6.0, 8.0):
+        # the Bernoulli numbers from sum_{k=0}^{m} C(m+1, k) B_k = 0 (B_1 = -1/2),
+        # then B_a(x) = sum_k C(a, k) B_k x^(a-k)
+        a, x, B = int(alpha), Fraction(x), [Fraction(1)]
+        for m in range(1, a + 1):
+            B.append(-sum(math.comb(m + 1, k) * B[k] for k in range(m)) / (m + 1))
+        b = sum(math.comb(a, k) * B[k] * x ** (a - k) for k in range(a + 1)) / math.factorial(a)
+        return (-1.0) ** (a // 2 + 1) * (2.0 * math.pi) ** a * float(b)
     return _decay_truncated(alpha, x, tol)
 
 

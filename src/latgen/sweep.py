@@ -12,7 +12,7 @@ import time
 from .cbc import construct_korobov_cbc, construct_standard_cbc
 from .cbc_dbd import construct_cbc_dbd
 from .error import wce_product
-from .numtheory import check_modulus, is_prime
+from .numtheory import check_modulus
 from .weights import ProductWeights, Weights, parse_weight_spec, power_weights
 
 __all__ = ["CSV_HEADER", "fmt", "construct", "sweep_row", "write_sweep_csv"]
@@ -34,11 +34,9 @@ def construct(algo: str, N: int, s: int, w: Weights, alpha):
         raise ValueError("%s requires product weights" % (algo,))
     if algo == "cbc-dbd":
         if N & (N - 1) != 0 or N < 2:
-            raise ValueError("cbc-dbd requires N = 2^n")
+            raise ValueError("cbc-dbd requires N = 2^n with n >= 1")
         return construct_cbc_dbd(N.bit_length() - 1, s, w)
     if algo == "korobov-cbc":
-        if not is_prime(N) or N < 3:
-            raise ValueError("N must be prime")
         return construct_korobov_cbc(N, s, w)
     if algo == "std-cbc":
         if alpha is None:

@@ -189,10 +189,13 @@ def _layout_fold(q, res):
 @pytest.mark.parametrize("N", [131, 8147, 8, 256, 2048, 1 << 14])
 def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     """Along a fast greedy run, the running product is kept on the slots of
-    unit_layout(N) but its last: the plan's slots and counts are the
-    layout's without residue 0, the state holds the natural-order q of
-    cbc_naive at each slot's residue after every component, and its scores
-    and bound are exactly those of the fold gathered from that q."""
+    unit_layout(N) but its last: the plan's slots are the layout's without
+    residue 0, the state holds the natural-order q of cbc_naive at each
+    slot's residue after every component, and its scores and bound are
+    exactly those of the fold gathered from that q. The long blocks' slots
+    are +- pairs, whose factor 2 the plan keeps in each level's spectrum and
+    kernel norm; the reference plan takes it back out, an exact halving,
+    and counts every short slot once, so that it scores the fold as given."""
     s = 60
     tab = fourier_decay_table(alpha, N)
     gammas = power_weights(w, alpha).gammas[:s]
@@ -210,15 +213,24 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     res = _slot_residues(N)
     plan = states[0][0]
     assert np.array_equal(plan.natural[res - 1], np.arange(res.shape[0]))
-    assert np.array_equal(plan.counts, layout.counts[:-1])
+    counts = layout.counts[:-1]
+    assert (counts[: plan.short] == 2.0).all()
+    assert np.array_equal(plan.short_counts, counts[plan.short :])
+    for lv in plan.levels:  # the factor 2 on the spectrum of a_0, a_(L-1), ..., a_1
+        _, _, K, norm = cbc._spectrum(np.roll(tab[res[lv.start : lv.stop]][::-1], 1))
+        assert lv.kernel_norm == 2 * norm and np.array_equal(lv.K, 2 * lv.step * K)
+    ref_plan = dataclasses.replace(
+        plan, short_counts=np.ones_like(plan.short_counts),
+        levels=tuple(dataclasses.replace(lv, K=lv.K / 2, kernel_norm=lv.kernel_norm / 2)
+                     for lv in plan.levels))
     k = np.arange(1, N)
     q = 1.0 + gammas[0] * tab[1:]
     for d, (plan, p) in enumerate(states, start=2):
         assert np.array_equal(p, q[res - 1]) and np.array_equal(p[plan.natural], q), d
         f = _layout_fold(q, res)
-        assert np.array_equal(p * plan.counts, f), d
+        assert np.array_equal(p * counts, f), d
         sc, bound = plan.scores(p)
-        ref, ref_bound = dataclasses.replace(plan, counts=np.ones_like(f)).scores(f)
+        ref, ref_bound = ref_plan.scores(f)
         assert np.array_equal(sc, ref) and bound == ref_bound, d
         q *= 1.0 + gammas[d - 1] * tab[k * v.z[d - 1] % N]
 
@@ -271,7 +283,7 @@ def test_short_block_plans_call_no_fft(N, monkeypatch):
         monkeypatch.setattr(np.fft, name, no_fft)
     plan = scoring_plan(N, tab)
     assert not plan.levels
-    plan.scores(np.ones(plan.counts.shape[0]))
+    plan.scores(np.ones(_slot_residues(N).shape[0]))
     assert _cbc_greedy(N, 12, gammas, tab) == naive
 
 

@@ -131,6 +131,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "--algo", "std-cbc", "--N", "16", "--s", "2",
                  "--weights", "product:1/j^2", "--out", vec]) == 2
     capsys.readouterr()
+    # 2 is prime, but korobov needs N >= 3; 1 = 2^0, but cbc-dbd needs n >= 1
+    assert main(["construct", "--algo", "korobov-cbc", "--N", "2", "--s", "2",
+                 "--weights", "product:1/j^2", "--out", vec]) == 2
+    assert capsys.readouterr().err == "error: N must be prime (>= 3)\n"
+    assert main(["construct", "--algo", "cbc-dbd", "--N", "1", "--s", "2",
+                 "--weights", "product:1/j^2", "--out", vec]) == 2
+    assert capsys.readouterr().err == "error: cbc-dbd requires N = 2^n with n >= 1\n"
 
 
 def _outcome(argv, capsys, out):

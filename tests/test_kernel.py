@@ -142,8 +142,9 @@ def test_fourier_decay_table_matches_pointwise(alpha):
     N = 32
     tab = fourier_decay_table(alpha, N)
     assert tab[0] == pytest.approx(2.0 * zeta(alpha), rel=1e-11)
-    # the truncated series is the independent route; use a tolerance it can
-    # reach within the term cap for non-even alpha
+    # the oracle is the independent route: B_alpha(a/N) in exact rational
+    # arithmetic at even alpha, else the truncated series, at a tolerance it
+    # can reach within the term cap
     tol = 1e-11 if float(alpha).is_integer() and int(alpha) % 2 == 0 else 1e-7
     for a in range(1, N):
         assert tab[a] == pytest.approx(

@@ -95,8 +95,9 @@ def _symmetric_table(N):
 @pytest.mark.parametrize("N", [2, 3, 4, 8, 61, 64, 131, 512, 1021, 2048])
 def test_unit_layout_rotates_for_every_unit(N):
     """For every unit z the layout's column is tab[k z mod N] over its slots,
-    the slots with their negatives cover each residue count-many times, and
-    residue 0 is the last slot."""
+    read at the rotation slot[z], the slots with their negatives cover each
+    residue count-many times, slot maps each slot's residue a and N - a to
+    that slot, residue 0 is the last slot, and a non-unit is refused."""
     lay = unit_layout(N)
     assert lay.cyclic
     res = np.concatenate(lay.blocks + (lay.fixed,))  # the slots for z = 1
@@ -106,13 +107,18 @@ def test_unit_layout_rotates_for_every_unit(N):
     np.add.at(covered, res, lay.counts / 2)
     np.add.at(covered, (N - res) % N, lay.counts / 2)
     assert np.array_equal(covered, np.ones(N))
+    slots = np.arange(res.shape[0])
+    assert lay.slot.dtype == np.int64 and lay.slot.shape == (N,)
+    assert np.array_equal(lay.slot[res], slots) and np.array_equal(lay.slot[(N - res) % N], slots)
     tab = _symmetric_table(N)
     cols = UnitColumns(lay, tab)
     for z in range(1, N):
         if gcd(z, N) == 1:
             assert np.array_equal(next(iter(cols.columns([z]))), tab[res * z % N])
+            assert np.array_equal(cols.column(lay.slot[z]), tab[res * z % N])
         else:
-            assert lay.dlog[z] == -1
+            with pytest.raises(ValueError, match="not a unit"):
+                cols.columns([z])
 
 
 def test_unit_layout_of_other_moduli_is_the_natural_order():
@@ -120,6 +126,7 @@ def test_unit_layout_of_other_moduli_is_the_natural_order():
     assert not lay.cyclic and not lay.blocks
     assert np.array_equal(lay.fixed, np.arange(12))
     assert np.array_equal(lay.counts, np.ones(12))
+    assert np.array_equal(lay.slot, np.arange(12))
     tab = _symmetric_table(12)
     column = next(iter(UnitColumns(lay, tab).columns([5])))
     assert np.array_equal(column, tab[np.arange(12) * 5 % 12])
