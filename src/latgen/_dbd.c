@@ -1,7 +1,8 @@
 /* The compiled kernels of latgen: the CBC-DBD construction for N = 2^n on
- * the unit layout (dbd_construct) and the product-weight lattice sum over
- * columns that are slices of one table (product_sum). latgen._slowpath holds
- * the numpy twin of each and its docstrings.
+ * the unit layout (dbd_construct), the product-weight lattice sum over
+ * columns that are slices of one table (product_sum) and one component of
+ * the fast CBC (cbc_step). latgen._slowpath holds the numpy twin of each and
+ * its docstrings.
  *
  * dbd_construct: the odd residues mod 2^t are +-5^i, i < L_t = 2^(t-2). Level
  * t = 2..n of the state holds one slot per +- pair, q[L_t - 1 + i] =
@@ -31,6 +32,24 @@
  * starts, so d stays in L1 while the columns stream past. Per value the
  * operations are those of the numpy twin, in its order: d = gamma_1 t, then
  * x = gamma_j t and d = d + x (1 + d), so d is the same doubles.
+ *
+ * cbc_step: everything of one fast-CBC component but the long levels'
+ * transforms (latgen.cbc). The running product p sits on the slots of
+ * numtheory.unit_layout(N) but the last: each long level's slots, then the
+ * m short ones. The step multiplies p by 1 + gamma column(b), the kernel
+ * values that candidate b meets (a slice of each long level's doubled
+ * values, one row of the short tail's table), element by element as the
+ * twin does, so p is the same doubles on both. It then scores the short tail
+ * for every candidate: part[i] = sum_j ct[j P + i] p[short + j], the rows of
+ * the table times each slot's count of residues (1 or 2, so folding them
+ * into the table is exact), summed in the order j = 0, 1, ..., m-1, and adds
+ * part[b mod P] to the transform's score of candidate b (or writes it, when
+ * there is no long level). The rounding bound is that of latgen.cbc: the
+ * transforms' term, from the 2-norm of each long level's slots, and the
+ * short tail's, from the 2-norm of its fold; a norm whose sum of squares
+ * leaves double range is taken of the values scaled by a power of two,
+ * which is exact. Last come the argmin and the near set: every candidate
+ * within twice the bound of the least score.
  *
  * Compiled on first import by latgen._kernels and loaded with ctypes. Build
  * with -ffp-contract=off so every product and sum is rounded as written.
@@ -147,4 +166,165 @@ void product_sum(const double *buf, int64_t m, const int64_t *lengths, int64_t s
         }
         d += L;
     }
+}
+
+/* One long level of the fast CBC: the kernel values of its slots
+ * p[start : start + len], stored twice in a row, and twice the 2-norm of
+ * what its spectrum transforms. */
+struct cbc_level {
+    const double *values;
+    int64_t start, len;
+    double kernel_norm;
+};
+
+/* The arrays of one fast-CBC construction (latgen.cbc's step state). */
+struct cbc_state {
+    double *p;                      /* the running product, short + m slots */
+    double *sc;                     /* the Q candidates' scores */
+    int64_t *near;                  /* out: the near set, ascending */
+    double *bound;                  /* out: the scores' rounding bound */
+    double *part;                   /* P doubles of scratch */
+    const struct cbc_level *levels; /* nlev long levels, leading p */
+    const double *rows;             /* P x m: row b mod P is candidate b's short tail */
+    const double *ct;               /* m x P: the rows times the counts, transposed */
+    const double *counts;           /* m residues per short slot */
+    int64_t nlev, Q, P, m, short_start;
+    double tfactor, sfactor, row_norm; /* the bound's factors (latgen.cbc) */
+};
+
+/* Below this, a sum of squares may have lost terms to underflow. */
+#define TINY 0x1p-900
+
+/* The sum of squares of x o c (of x when c is NULL), in four partial sums,
+ * i mod 4, added in a fixed order at the end. */
+static double sum_squares(const double *x, const double *c, int64_t n)
+{
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    int64_t i = 0;
+    if (c) {
+        for (; i + 4 <= n; i += 4)
+            for (int k = 0; k < 4; k++) {
+                double v = x[i + k] * c[i + k];
+                acc[k] += v * v;
+            }
+        for (; i < n; i++)
+            acc[0] += (x[i] * c[i]) * (x[i] * c[i]);
+    } else {
+        for (; i + 4 <= n; i += 4)
+            for (int k = 0; k < 4; k++)
+                acc[k] += x[i + k] * x[i + k];
+        for (; i < n; i++)
+            acc[0] += x[i] * x[i];
+    }
+    return (acc[0] + acc[1]) + (acc[2] + acc[3]);
+}
+
+/* ||x o c||_2 (||x||_2 when c is NULL). Where the sum of squares leaves
+ * (TINY, inf), the values are scaled by 2^-e, e the binary exponent of the
+ * largest |value|, and the norm scaled back, as in the twin. */
+static double norm2(const double *x, const double *c, int64_t n)
+{
+    double ss = sum_squares(x, c, n);
+    if (TINY < ss && ss < INFINITY)
+        return sqrt(ss);
+    double top = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double v = fabs(c ? x[i] * c[i] : x[i]);
+        if (v > top)
+            top = v;
+    }
+    if (top == 0.0 || !isfinite(top) || isnan(ss))
+        return sqrt(ss);
+    int e;
+    frexp(top, &e);
+    ss = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double v = ldexp(c ? x[i] * c[i] : x[i], -e);
+        ss += v * v;
+    }
+    return ldexp(sqrt(ss), e);
+}
+
+/* The least of x[0:n] that is not NaN, inf if there is none. Four running
+ * minima, i mod 4, so no comparison waits on the one before. */
+static double least(const double *x, int64_t n)
+{
+    double lo[4] = {INFINITY, INFINITY, INFINITY, INFINITY};
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        for (int k = 0; k < 4; k++)
+            lo[k] = x[i + k] < lo[k] ? x[i + k] : lo[k];
+    for (; i < n; i++)
+        lo[0] = x[i] < lo[0] ? x[i] : lo[0];
+    lo[0] = lo[1] < lo[0] ? lo[1] : lo[0];
+    lo[2] = lo[3] < lo[2] ? lo[3] : lo[2];
+    return lo[2] < lo[0] ? lo[2] : lo[0];
+}
+
+/* One component of the fast CBC on st. For 0 <= b < Q, first
+ * p *= 1 + gamma column(b); b = -1 leaves p as it is. Then, if score is
+ * nonzero, the short tail is scored into st->sc, the bound written to
+ * *st->bound and the near set to st->near. Returns the size of the near set;
+ * 0 if a score is NaN, the least one not finite or the near set empty; 0
+ * without score; -1 if b is out of range. */
+int64_t cbc_step(const struct cbc_state *st, int64_t b, double gamma, int score)
+{
+    double *p = st->p, *sc = st->sc;
+    int64_t P = st->P, m = st->m, Q = st->Q;
+    double *ps = p + st->short_start;
+    if (b < -1 || b >= Q)
+        return -1;
+    if (b >= 0) {
+        for (int64_t l = 0; l < st->nlev; l++) {
+            const struct cbc_level *lv = st->levels + l;
+            int64_t L = lv->len;
+            const double *restrict v = lv->values + (L - b % L) % L;
+            double *restrict pl = p + lv->start;
+            for (int64_t i = 0; i < L; i++)
+                pl[i] *= 1.0 + gamma * v[i];
+        }
+        const double *restrict row = st->rows + (b % P) * m;
+        for (int64_t i = 0; i < m; i++)
+            ps[i] *= 1.0 + gamma * row[i];
+    }
+    if (!score)
+        return 0;
+    double bound = 0.0;
+    if (st->nlev) {
+        double weight = 0.0;
+        for (int64_t l = 0; l < st->nlev; l++) {
+            const struct cbc_level *lv = st->levels + l;
+            weight += norm2(p + lv->start, NULL, lv->len) * lv->kernel_norm;
+        }
+        bound = st->tfactor * weight;
+    }
+    if (m) {
+        double *restrict part = st->nlev ? st->part : sc;
+        for (int64_t i = 0; i < P; i++)
+            part[i] = 0.0;
+        for (int64_t j = 0; j < m; j++) {
+            const double *restrict cj = st->ct + j * P;
+            double x = ps[j];
+            for (int64_t i = 0; i < P; i++)
+                part[i] += cj[i] * x;
+        }
+        if (st->nlev)
+            for (int64_t k = 0; k < Q; k += P)
+                for (int64_t i = 0; i < P; i++)
+                    sc[k + i] += part[i];
+        bound += st->sfactor * norm2(ps, st->counts, m) * st->row_norm;
+    }
+    *st->bound = bound;
+    double lo = least(sc, Q);
+    if (!isfinite(lo))
+        return 0;
+    double top = lo + 2.0 * bound;
+    int64_t n = 0;
+    for (int64_t k = 0; k < Q; k++)
+        if (!(sc[k] > top)) { /* near, or a NaN score or bound */
+            if (!(sc[k] <= top))
+                return 0;
+            st->near[n++] = k;
+        }
+    return n;
 }

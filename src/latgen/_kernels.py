@@ -8,17 +8,25 @@ flags and the machine. Processes that import at the same time each compile
 to a temporary name and move the result into place with os.replace, so none
 of them can load a half-written file.
 
-The library holds two functions. dbd_construct builds the CBC-DBD
+The library holds three functions. dbd_construct builds the CBC-DBD
 components from the log-sine table and returns those it could build (see
 latgen._slowpath.dbd_construct, its twin). product_sum computes the
 per-slot values prod_j (1 + gamma_j col_j) - 1 of a product-weight lattice
 sum whose columns are slices of one buffer (numtheory.ColumnSlices), the
 product branch of weights.subset_product_sum (see
-latgen._slowpath.product_sum). The numpy implementations in
-latgen._slowpath are the fallback: they are used when LATGEN_PURE=1 is set,
-the cache cannot be written, no compiler is found, or the compile fails.
-Both give the same doubles. BACKEND is "c" or "numpy"; BACKEND_REASON says
-which library was loaded or why the fallback was chosen.
+latgen._slowpath.product_sum). cbc_step runs one fast-CBC component on a
+step state of latgen.cbc: the update, the short tail's scores, the rounding
+bound, the argmin and the near set (see latgen._slowpath.cbc_step); it
+reads the state through one struct of its arrays' addresses, made on the
+first call. The numpy implementations in latgen._slowpath are the
+fallback: they are used when LATGEN_PURE=1 is set, the cache cannot be
+written, no compiler is found, or the compile fails. dbd_construct and
+product_sum give the same doubles on both, and so does cbc_step's update;
+its short-tail scores are a fixed-order dot in C and a BLAS product in
+numpy, so the scores and the bound may differ in their last bits, and
+either near set holds the exact gather sum's choice. BACKEND is "c" or
+"numpy"; BACKEND_REASON says which library was loaded or why the fallback
+was chosen.
 """
 
 import ctypes
@@ -118,7 +126,60 @@ def _load():
                                 ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                                 ctypes.c_void_p]
     lib.product_sum.restype = None
+    lib.cbc_step.argtypes = [ctypes.POINTER(_StepArgs), ctypes.c_int64, ctypes.c_double,
+                             ctypes.c_int]
+    lib.cbc_step.restype = ctypes.c_int64
     return lib, path
+
+
+class _Level(ctypes.Structure):
+    """struct cbc_level of _dbd.c."""
+
+    _fields_ = [("values", ctypes.c_void_p), ("start", ctypes.c_int64),
+                ("len", ctypes.c_int64), ("kernel_norm", ctypes.c_double)]
+
+
+class _StepArgs(ctypes.Structure):
+    """struct cbc_state of _dbd.c."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in
+                ("p", "sc", "near", "bound", "part", "levels", "rows", "ct", "counts")]
+    _fields_ += [(name, ctypes.c_int64) for name in ("nlev", "Q", "P", "m", "short_start")]
+    _fields_ += [(name, ctypes.c_double) for name in ("tfactor", "sfactor", "row_norm")]
+
+
+def _step_args(st) -> _StepArgs:
+    """The kernel's view of the step state st, once every array it reads or
+    writes is known to have its shape: the kernel reads them unchecked."""
+    plan = st.plan
+    P, m = plan.rows.shape
+    Q = st.sc.shape[0]
+    n = plan.short + m
+    keep = [np.ascontiguousarray(a, dtype=np.float64)
+            for a in (plan.rows, st.ct, plan.short_counts)]
+    rows, ct, counts = keep
+    # with no long level the short tail's P scores are all Q of them
+    ok = (P > 0 and Q % P == 0 and (plan.levels or Q == P) and ct.shape == (m, P)
+          and counts.shape == (m,))
+    ok = ok and all(
+        0 <= lv.start < lv.stop <= plan.short and Q % (lv.stop - lv.start) == 0
+        and lv.values.shape[0] >= 2 * (lv.stop - lv.start) for lv in plan.levels)
+    for a, shape, dtype in ((st.p, (n,), np.float64), (st.sc, (Q,), np.float64),
+                            (st.near, (Q,), np.int64), (st.bound, (1,), np.float64),
+                            (st.part, (P,), np.float64)):
+        ok = ok and a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
+    if not ok:
+        raise ValueError("the step state does not match its plan")
+    values = [np.ascontiguousarray(lv.values, dtype=np.float64) for lv in plan.levels]
+    levels = (_Level * max(len(values), 1))(*[
+        _Level(v.ctypes.data, lv.start, lv.stop - lv.start, lv.kernel_norm)
+        for v, lv in zip(values, plan.levels)])
+    args = _StepArgs(st.p.ctypes.data, st.sc.ctypes.data, st.near.ctypes.data,
+                     st.bound.ctypes.data, st.part.ctypes.data, ctypes.addressof(levels),
+                     rows.ctypes.data, ct.ctypes.data, counts.ctypes.data, len(values), Q, P,
+                     m, plan.short, st.tfactor, st.sfactor, plan.row_norm)
+    args.keep = (keep, values, levels)  # alive as long as the struct
+    return args
 
 
 try:
@@ -131,6 +192,7 @@ except _Unavailable as exc:
 if _lib is None:
     dbd_construct = _slowpath.dbd_construct
     product_sum = _slowpath.product_sum
+    cbc_step = _slowpath.cbc_step
 else:
 
     def dbd_construct(ktab, n, gamma1, gammas, rtol):
@@ -155,3 +217,12 @@ else:
         _lib.product_sum(cols.buf.ctypes.data, m, cols.lengths.ctypes.data, g.shape[0],
                          cols.offsets.ctypes.data, g.ctypes.data, d.ctypes.data)
         return d
+
+    def cbc_step(st, b, gamma, score):
+        args = st.handle
+        if args is None:
+            args = st.handle = _step_args(st)
+        n = _lib.cbc_step(args, b, gamma, score)
+        if n < 0:
+            raise ValueError("candidate %d is out of range" % b)
+        return n

@@ -6,6 +6,9 @@ product_sum is the twin of the product-weight lattice sum, and
 product_columns its loop over columns given as arrays, which also serves
 the moduli whose columns are gathers (see weights.subset_product_sum).
 
+cbc_step is the twin of one fast-CBC component (latgen.cbc.ScoringPlan.step):
+the update, the short tail's scores, the rounding bound and the near set.
+
 dbd_construct is the twin of the CBC-DBD construction. Both keep the state on
 the unit layout of N = 2^n (numtheory.unit_layout): the odd residues mod 2^t
 are +-5^i, i < L_t = 2^(t-2), and level t = 2..n holds one slot per +- pair,
@@ -21,6 +24,9 @@ import math
 import numpy as np
 
 from .numtheory import unit_layout
+
+#: Below this, a @ a may have lost terms to underflow.
+_TINY = 2.0**-900
 
 
 def level_tables(ktab, n):
@@ -138,3 +144,65 @@ def product_sum(gammas, cols):
     if len(gammas) != len(cols) or not len(cols):
         raise ValueError("need one gamma per column and at least one column")
     return product_columns(gammas, map(cols.parts, range(len(cols))))
+
+
+def norm(a: np.ndarray) -> float:
+    """||a||_2, also where a @ a leaves double range: a is then scaled by a
+    power of two, which is exact, so every norm that a @ a gives as it is
+    comes out the same. A norm beyond double range is inf."""
+    ss = float(a @ a)
+    if _TINY < ss < math.inf:
+        return math.sqrt(ss)
+    top = float(np.abs(a).max(initial=0.0))
+    if top == 0.0 or not math.isfinite(top):
+        return math.sqrt(ss)
+    e = math.frexp(top)[1]
+    b = np.ldexp(a, -e)
+    try:
+        return math.ldexp(math.sqrt(float(b @ b)), e)
+    except OverflowError:
+        return math.inf
+
+
+def cbc_step(st, b, gamma, score):
+    """One component of the fast CBC on the step state st (latgen.cbc): for
+    0 <= b < len(st.sc), first st.p *= 1 + gamma * st.plan.column(b), read
+    as a slice of each long level's doubled values and one row of the short
+    tail's table; b = -1 leaves st.p as it is. Then, if score is true, the
+    short tail's scores st.ct.T @ p[short:] are added to the transform's
+    scores in st.sc (written there when the plan has no long level), the
+    rounding bound goes to st.bound[0] and the near set, the candidates
+    within twice the bound of the least score, to st.near. Returns the size
+    of the near set; 0 if the scores are not finite or score is false."""
+    plan, p, sc = st.plan, st.p, st.sc
+    if not -1 <= b < sc.shape[0]:
+        raise ValueError("candidate %d is out of range" % b)
+    ps = p[plan.short :]
+    if b >= 0:
+        for lv in plan.levels:
+            L = lv.stop - lv.start
+            r = -b % L
+            p[lv.start : lv.stop] *= 1.0 + gamma * lv.values[r : r + L]
+        ps *= 1.0 + gamma * plan.rows[b % plan.rows.shape[0]]
+    if not score:
+        return 0
+    bound = 0.0
+    if plan.levels:
+        weight = 0.0
+        for lv in plan.levels:
+            weight += norm(p[lv.start : lv.stop]) * lv.kernel_norm
+        bound = st.tfactor * weight
+    if ps.shape[0]:
+        part = st.ct.T @ ps
+        if plan.levels:
+            sc.reshape(-1, part.shape[0])[...] += part
+        else:
+            sc[...] = part
+        bound += st.sfactor * norm(ps * plan.short_counts) * plan.row_norm
+    st.bound[0] = bound
+    lo = float(sc[sc.argmin()])  # the first NaN, if there is one
+    if not math.isfinite(lo):
+        return 0
+    near = np.flatnonzero(sc <= lo + 2.0 * bound)
+    st.near[: near.shape[0]] = near
+    return near.shape[0]

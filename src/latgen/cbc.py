@@ -17,12 +17,17 @@ in the order of -b. The plan reads the kernel values a candidate meets,
 tab[a z mod N] at each slot's residue a, one way: column(b), which is
 numtheory.UnitColumns.column at rotation -b, a slice of each long block's
 doubled kernel values and one row of the row table. A component costs the
-scoring below, the argmin and the update p *= 1 + gamma * column(b), all on
-contiguous memory, and the start state is 1 + gamma_1 * column(0), since
-z_1 = 1. The scores are those of the fold, p times each slot's count of
-residues: every slot of a long block is a +- pair, whose factor 2 the plan
-keeps in that level's spectrum, so only the short blocks and the fixed slots
-multiply p by their counts. Only a component that rescores gathers into
+update p *= 1 + gamma * column(b) of the component before it, the scoring
+below, the argmin and the near set, all on contiguous memory; the first
+update turns the all-ones start into 1 + gamma_1 * column(0), since
+z_1 = 1. All of that but the long blocks' transforms is one call of the
+compiled step _kernels.cbc_step (its numpy twin is _slowpath.cbc_step); a
+plan with long blocks calls it twice, updating before the transforms and
+scoring after them. The scores are those of the fold, p times each slot's
+count of residues: every slot of a long block is a +- pair, whose factor 2
+the plan keeps in that level's spectrum, so only the short blocks and the
+fixed slots multiply p by their counts, which the step folds into its copy
+of the row table. Only a component that rescores gathers into
 natural order: q = p[natural] once (natural is UnitLayout.slot[1:]), and
 column(b)[natural], which is tab[k z mod N] for k = 1..N-1, per rescored
 candidate.
@@ -40,13 +45,15 @@ candidate.
 - Short blocks and the fixed slots (N/2, and N/4 folded with 3N/4): their
   scores are one matrix-vector product with the row table of
   numtheory.UnitColumns, which repeats with the longest short block, its
-  rows taken in the order of -b and without the column of residue 0.
+  rows taken in the order of -b and without the column of residue 0. The
+  compiled step sums each row in slot order; the twin's product is BLAS's.
   Prime N <= 127 and N = 2^n <= 256 have no long block and run no
   transform; N = 2 and 4 have no block at all, and their one candidate
   z = 1 is scored by the fixed slots alone.
 
 Each score vector comes with a bound on its rounding error, the transforms'
-plus the dot products'. A lone candidate within twice that bound of the
+plus the dot products', in whatever order either is summed. A lone
+candidate within twice that bound of the
 minimum is the exact gather sum's choice and is taken as it is; when several
 are, each is rescored with the exact gather sum, and the smallest z wins
 ties. While each score lies within the bound of its gather sum, the gather
@@ -63,6 +70,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import _kernels
 from .error import lattice_kernel_sum
 from .kernel import LN4, fourier_decay_table, kernel_table
 from .numtheory import GeneratingVector, UnitColumns, is_prime, unit_layout
@@ -75,23 +83,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-#: Below this, a @ a may have lost terms to underflow.
-_TINY = 2.0**-900
-
-
-def _norm(a: np.ndarray) -> float:
-    """||a||_2, also where a @ a leaves double range: a is then scaled by a
-    power of two, which is exact, so every norm that a @ a gives as it is
-    comes out the same."""
-    ss = float(a @ a)
-    if _TINY < ss < math.inf:
-        return math.sqrt(ss)
-    top = float(np.abs(a).max(initial=0.0))
-    if top == 0.0 or not math.isfinite(top):
-        return math.sqrt(ss)
-    e = math.frexp(top)[1]
-    b = np.ldexp(a, -e)
-    return math.ldexp(math.sqrt(float(b @ b)), e)
 
 
 def _omega_table(N: int) -> np.ndarray:
@@ -139,6 +130,7 @@ class _Level:
 
     start: int  # p[start:stop] are the block's slots, a_0, a_1, ..., a_(L-1)
     stop: int
+    values: np.ndarray  # the kernel values of those slots, twice in a row (UnitColumns.doubled)
     K: np.ndarray  # the spectrum of a_0, a_(L-1), ..., a_1, times 2 and the tiling factor
     step: int  # K lands on every step-th bin of the summed spectrum
     kernel_norm: float  # twice the 2-norm of what K transforms
@@ -151,9 +143,10 @@ class ScoringPlan:
     The state p has the slots of unit_layout(N) but the last: slot i stands
     for a residue a and N - a (one residue for N/2), whose entries of the
     natural-order running product are equal: q = p[natural]. column(b) holds
-    tab[a z mod N] on the same slots for z = z[b], read from cols, and
-    scores(p)[b] approximates the exact score _gather_score(p[natural],
-    plan, b); the returned bound caps the difference.
+    tab[a z mod N] on the same slots for z = z[b], read from cols. A
+    _StepState holds one construction's p; step(st, b, gamma) updates it and
+    scores every candidate, and st.sc[b] approximates the exact score
+    _gather_score(st.p[natural], plan, b) within st.bound[0].
     """
 
     z: np.ndarray  # z[b] is the one of +-g^(-b) (+-5^(-b) for N = 2^n) below N/2
@@ -172,42 +165,77 @@ class ScoringPlan:
         rotates every block by -b (UnitColumns.column), without residue 0."""
         return self.cols.column(-b % self.z.shape[0])[:-1]
 
-    def scores(self, p: np.ndarray):
-        bound = 0.0
+    def start(self, p=None) -> "_StepState":
+        """A step state on a copy of p, or on all ones, the empty product."""
+        return _StepState(self, p)
+
+    def step(self, st: "_StepState", b: int, gamma: float):
+        """Multiplies st.p by 1 + gamma * column(b) (b = -1 leaves it as it
+        is), then scores every candidate on it: st.sc, st.bound[0]. Returns
+        the near set, the indices of the candidates within 2 * st.bound[0]
+        of the least score in ascending order, or None if the scores are not
+        finite.
+
+        One _kernels.cbc_step call does it all when the plan has no long
+        level. Otherwise the long levels' transforms, which read the updated
+        slots, go between the update and a second call, which adds the
+        short tail's scores to theirs."""
         if self.levels:
+            _kernels.cbc_step(st, b, gamma, False)
+            b = -1
             spec = None
-            weight = 0.0
             for lv in self.levels:
-                a = p[lv.start : lv.stop]
-                term = np.fft.rfft(a, self.size // lv.step) * lv.K
+                term = np.fft.rfft(st.p[lv.start : lv.stop], self.size // lv.step)
+                term *= lv.K
                 if spec is None:
                     spec = term
                 else:
                     spec[:: lv.step] += term
-                weight += _norm(a) * lv.kernel_norm
-            sc = np.fft.irfft(spec, self.size)[self.offset : self.offset + self.z.shape[0]]
-            # Per transform, each entry of irfft(rfft(a) * rfft(b)) is within
-            # log2(size) * eta * ||a||_2 * ||b||_2 of exact (Cauchy-Schwarz on
-            # the spectra; eta <= 8 eps covers a butterfly and its twiddle's
-            # error). Three transforms take part: a's, the cached kernel's and
-            # the inverse. The measured distance to the gather sum stays below
-            # 2% of this.
-            bound = 3 * 8 * _EPS * math.log2(max(self.size, 2)) * weight
-        m = self.short_counts.shape[0]
-        if m:
-            fs = p[self.short :] * self.short_counts
-            part = self.rows @ fs
-            if self.levels:
-                sc.reshape(-1, part.shape[0])[...] += part
-            else:
-                sc = part
-            # The fold, the m-term dot product in any summation order (so
-            # however BLAS splits it) and the addition to the transform's
-            # score leave each entry within gamma_(m+2) sum_i |r_i f_i| of
-            # exact, and gamma_(m+2) <= (m + 1) eps; Cauchy-Schwarz caps the
-            # sum by ||rows[b]||_2 ||fs||_2.
-            bound += (m + 1) * _EPS * _norm(fs) * self.row_norm
-        return sc, bound
+            st.sc[...] = np.fft.irfft(spec, self.size)[self.offset : self.offset + st.sc.shape[0]]
+        n = _kernels.cbc_step(st, b, gamma, True)
+        return st.near[:n] if n else None
+
+
+class _StepState:
+    """One construction's running product on a plan's slots, and the buffers
+    of _kernels.cbc_step: sc[b] is the score of plan.z[b], bound[0] its
+    rounding bound and near[:n] the near set, and part is scratch. ct holds
+    the plan's short-tail rows times their counts, transposed; the counts
+    are 1 or 2, so folding them into the rows is exact. handle is the
+    compiled kernel's view of these arrays, made on its first call; no
+    array is replaced after that.
+
+    The bound has two terms. Per transform, each entry of
+    irfft(rfft(a) * rfft(b)) is within log2(size) * eta * ||a||_2 * ||b||_2
+    of exact (Cauchy-Schwarz on the spectra; eta <= 8 eps covers a butterfly
+    and its twiddle's error). Three transforms take part: a's, the cached
+    kernel's and the inverse, so the term is tfactor times the sum over the
+    long levels of ||a||_2 * kernel_norm. The measured distance to the
+    gather sum stays below 2% of it. The fold fs = p[short:] * short_counts,
+    the m-term dot product in any summation order and the addition to the
+    transform's score leave each entry within gamma_(m+2) sum_i |r_i f_i| of
+    exact, and gamma_(m+2) <= (m + 1) eps = sfactor; Cauchy-Schwarz caps the
+    sum by ||rows[b]||_2 ||fs||_2.
+    """
+
+    __slots__ = ("plan", "p", "sc", "near", "bound", "part", "ct", "tfactor", "sfactor",
+                 "handle")
+
+    def __init__(self, plan: ScoringPlan, p=None):
+        P, m = plan.rows.shape
+        Q = plan.z.shape[0]
+        self.plan = plan
+        self.p = np.ones(plan.short + m) if p is None else np.array(p, dtype=np.float64)
+        if self.p.shape != (plan.short + m,):
+            raise ValueError("the state needs one value per slot of the plan")
+        self.sc = np.zeros(Q)
+        self.near = np.zeros(Q, dtype=np.int64)
+        self.bound = np.zeros(1)
+        self.part = np.zeros(P)
+        self.ct = np.ascontiguousarray((plan.rows * plan.short_counts).T)
+        self.tfactor = 3 * 8 * _EPS * math.log2(max(plan.size, 2))
+        self.sfactor = (m + 1) * _EPS
+        self.handle = None
 
 
 def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
@@ -233,10 +261,10 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     spectra = [_spectrum(doubled[L:0:-1]) for doubled, L in cols.doubled]
     levels = []
     start = 0  # the long blocks lead the layout
-    for (_, _, K, norm), (_, L) in zip(spectra, cols.doubled):
+    for (_, _, K, norm), (doubled, L) in zip(spectra, cols.doubled):
         # every slot of a long block is a +- pair: the fold's factor 2, exact, goes into K
-        levels.append(_Level(start=start, stop=start + L, K=(2 * Q // L) * K, step=Q // L,
-                             kernel_norm=2 * norm))
+        levels.append(_Level(start=start, stop=start + L, values=doubled,
+                             K=(2 * Q // L) * K, step=Q // L, kernel_norm=2 * norm))
         start += L
     P = cols.rows.shape[0]
     rows = cols.rows[-np.arange(P) % P, :-1]
@@ -247,22 +275,9 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
                        row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()))
 
 
-def _refined_argmin(plan: ScoringPlan, p: np.ndarray):
-    """The index b of the candidate plan.z[b] of least score, or None if the
-    scores are not finite.
-
-    A lone candidate within 2 * bound of the minimal plan score is taken as
-    it is; several are rescored by the exact gather sum over q = p[natural],
-    smallest z winning ties."""
-    sc, bound = plan.scores(p)
-    i = int(sc.argmin())  # the first NaN, if there is one
-    lo = float(sc[i])
-    if not math.isfinite(lo):
-        return None
-    near = sc <= lo + 2.0 * bound
-    if np.count_nonzero(near) == 1:
-        return i
-    near = np.flatnonzero(near)
+def _rescore(plan: ScoringPlan, p: np.ndarray, near: np.ndarray):
+    """The index b in near of least exact gather sum over q = p[natural],
+    smallest z winning ties, or None if no sum is below inf."""
     q = p[plan.natural]
     best = None
     best_val = math.inf
@@ -276,22 +291,28 @@ def _refined_argmin(plan: ScoringPlan, p: np.ndarray):
 
 def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray):
     """Shared greedy loop; tab is the residue-indexed kernel table. The
-    running product is kept on the plan's slots."""
+    running product is kept on the plan's slots, and each component's step
+    first applies the previous component's update: the first turns the
+    all-ones start into 1 + gamma_1 * column(0), since z_1 = 1 = z[0]."""
     plan = scoring_plan(N, tab)
-    z = [1]
+    st = plan.start()
+    bs = [0]
     # q leaving double range is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        q = 1.0 + gammas[0] * plan.column(0)  # z_1 = 1 = z[0]
         for d in range(2, s + 1):
-            b = _refined_argmin(plan, q)
+            near = plan.step(st, bs[-1], gammas[d - 2])
+            if near is None:
+                b = None
+            elif near.shape[0] == 1:
+                b = int(near[0])
+            else:
+                b = _rescore(plan, st.p, near)
             if b is None:
                 raise ValueError(
                     "the running product q left double range after component %d, "
                     "so no z_%d can be chosen: the weights are too large" % (d - 1, d))
-            z.append(int(plan.z[b]))
-            if d < s:
-                q *= 1.0 + gammas[d - 1] * plan.column(b)
-    return GeneratingVector(N, tuple(z))
+            bs.append(b)
+    return GeneratingVector(N, tuple(plan.z[bs].tolist()))
 
 
 def construct_korobov_cbc(N: int, s: int, w: ProductWeights) -> GeneratingVector:

@@ -178,8 +178,9 @@ def _powers(g: int, L: int, N: int) -> np.ndarray:
 #: Blocks no longer than this are stored once per rotation, in a table of
 #: ROW_SPAN rows of about 2 ROW_SPAN values, so a column takes one slice per
 #: longer block and one row for all the rest: the many short levels of
-#: N = 2^n then cost no Python work per column, and the fast CBC scores them
-#: for every rotation by one product with that table instead of a transform.
+#: N = 2^n then cost no Python work per column. The fast CBC's compiled step
+#: (latgen.cbc) scores them for every rotation from that table, its counts
+#: folded in, instead of a transform, and updates them from one of its rows.
 ROW_SPAN = 64
 
 

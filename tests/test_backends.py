@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import latgen
-from latgen import _kernels, _slowpath
-from latgen.cbc import _gather_score, scoring_plan
-from latgen.kernel import kernel_table
+from latgen import _kernels, _slowpath, cbc
+from latgen.cbc import (_gather_score, _omega_table, construct_korobov_cbc,
+                        construct_standard_cbc, scoring_plan)
+from latgen.kernel import fourier_decay_table, kernel_table
 from latgen.numtheory import ColumnSlices
+from latgen.oracles import cbc_naive
+from latgen.weights import ProductWeights, power_weights
 
 
 def test_backend_is_reported():
@@ -53,6 +56,145 @@ def test_product_sum_backends_agree():
             assert np.array_equal(d, _slowpath.product_sum(gammas, cols))
     with pytest.raises(ValueError):
         _kernels.product_sum([0.5], ColumnSlices(buf, np.zeros((2, 1)), [3]))
+
+
+def _record_steps(monkeypatch, step, construct):
+    """(plan, state p, near set, bound) at every scoring step of construct(),
+    run with step as _kernels.cbc_step."""
+    states = []
+
+    def recording(st, b, gamma, score):
+        n = step(st, b, gamma, score)
+        if score:
+            states.append((st.plan, st.p.copy(), st.near[:n].copy(), float(st.bound[0])))
+        return n
+
+    monkeypatch.setattr(_kernels, "cbc_step", recording)
+    construct()
+    monkeypatch.undo()
+    return states
+
+
+def _near(step, plan, p, monkeypatch):
+    """The near set of the state p, scored by step (b = -1 leaves p as it is)."""
+    monkeypatch.setattr(_kernels, "cbc_step", step)
+    near = plan.step(plan.start(p), -1, 0.0)
+    monkeypatch.undo()
+    return near
+
+
+STEP_WEIGHTS = {"0.95^j": lambda j: 0.95**j, "1/j^2": lambda j: 1.0 / j**2,
+                "0.52^j": lambda j: 0.52**j}
+
+
+@pytest.mark.parametrize("weights", sorted(STEP_WEIGHTS))
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("N", [2, 4, 8, 61, 127, 131, 256, 509, 2048, 8147])
+def test_cbc_step_backends_agree(N, alpha, weights, monkeypatch):
+    """The compiled fast-CBC step and its numpy twin, on the states of real
+    std-cbc runs: both runs keep the same states, bit for bit (the update is
+    the same element-wise product); where either near set has one candidate
+    the other holds it too, and both hold every candidate of least exact
+    gather sum, the rescore's choice. The states at N = 8147 are checked
+    against the gather sums at the last component only, to keep the test
+    short."""
+    s = 12
+    w = power_weights(ProductWeights(tuple(map(STEP_WEIGHTS[weights], range(1, s + 1)))),
+                      alpha)
+    compiled = _record_steps(monkeypatch, _kernels.cbc_step,
+                             lambda: construct_standard_cbc(N, s, alpha, w))
+    twin = _record_steps(monkeypatch, _slowpath.cbc_step,
+                         lambda: construct_standard_cbc(N, s, alpha, w))
+    assert len(compiled) == len(twin) == s - 1
+    for d, ((plan, p, near, bound), (_, p_twin, near_twin, bound_twin)) in enumerate(
+            zip(compiled, twin), start=2):
+        assert np.array_equal(p, p_twin), d
+        assert np.isfinite(bound) and bound == pytest.approx(bound_twin, rel=1e-12), d
+        if near.shape[0] == 1 or near_twin.shape[0] == 1:
+            assert set(near) & set(near_twin), (d, near, near_twin)
+        if near.shape[0] == 1 and near_twin.shape[0] == 1:
+            assert near[0] == near_twin[0], d
+        if N < 8000 or d == s:
+            q = p[plan.natural]
+            vals = np.array([_gather_score(q, plan, b) for b in range(plan.z.shape[0])])
+            best = set(np.flatnonzero(vals == vals.min()).tolist())
+            assert best <= set(near.tolist()) and best <= set(near_twin.tolist()), d
+
+
+@pytest.mark.parametrize("N", [2, 61, 256, 131, 2048])
+def test_cbc_step_reports_non_finite_scores(N, monkeypatch):
+    """A state whose scores hold a NaN, or whose least score is -inf or
+    +inf, has no near set on either backend: the construction reports it.
+    So has one NaN or -inf transform score among finite ones, while one
+    +inf is merely not near. A state whose norm leaves double range makes
+    neither backend raise."""
+    plan = scoring_plan(N, fourier_decay_table(2.0, N) if N % 2 == 0 else _omega_table(N))
+    n = plan.start().p.shape[0]
+    states = []
+    for i in sorted({0, n // 2, n - 1}):
+        p = np.ones(n)
+        p[i] = np.nan
+        states.append(p)
+        p = np.zeros(n)
+        p[i] = np.inf
+        states.append(p)
+        states.append(-p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in states:
+            st = plan.start(p)
+            assert plan.step(st, -1, 0.0) is None, p
+            assert np.isnan(st.sc).any() or not np.isfinite(st.sc.min()), p
+            assert _near(_slowpath.cbc_step, plan, p, monkeypatch) is None, p
+        if plan.levels:  # one bad transform score among finite ones
+            for step in (_kernels.cbc_step, _slowpath.cbc_step):
+                for bad in (np.nan, -np.inf, np.inf):
+                    st = plan.start()
+                    st.sc[...] = 1.0
+                    i = st.sc.shape[0] // 2
+                    st.sc[i] = bad
+                    k = step(st, -1, 0.0, True)
+                    if bad == np.inf:  # the least score is finite: i is merely not near
+                        assert k > 0 and i not in st.near[:k], step
+                    else:
+                        assert k == 0, (step, bad)
+        # a norm beyond double range makes the bound inf rather than an error
+        p = np.full(n, 1e308)
+        near = _near(_kernels.cbc_step, plan, p, monkeypatch)
+        near_twin = _near(_slowpath.cbc_step, plan, p, monkeypatch)
+        assert (near is None) == (near_twin is None)
+
+
+@pytest.mark.parametrize("N, s", [(127, 33), (509, 34)])
+def test_cbc_step_bound_stays_finite_for_large_running_products(N, s, monkeypatch):
+    """Under gamma_j = 3^j, max|q| passes 1e154 and the sum of squares of the
+    bound's norms overflows. Both backends scale them instead, so every
+    bound stays finite, fewer than s candidates are rescored in all, and the
+    vector is cbc_naive's. N = 127 scores the short tail alone, N = 509 one
+    long level alone."""
+    w = ProductWeights(tuple(3.0**j for j in range(1, s + 1)))
+    naive = cbc_naive(N, s, w.gammas, _omega_table(N))
+    for step in (_kernels.cbc_step, _slowpath.cbc_step):
+        calls = []
+
+        def counting(q, plan, b):
+            calls.append(b)
+            return _gather_score(q, plan, b)
+
+        monkeypatch.setattr(cbc, "_gather_score", counting)
+        bounds = [bound for _, _, _, bound in _record_steps(
+            monkeypatch, step, lambda: calls.append(construct_korobov_cbc(N, s, w)))]
+        vector = calls.pop()
+        assert vector == naive
+        assert len(bounds) == s - 1 and np.isfinite(bounds).all()
+        assert len(calls) < s, len(calls)
+
+
+def test_cbc_step_rejects_a_candidate_out_of_range():
+    plan = scoring_plan(61, _omega_table(61))
+    for step in (_kernels.cbc_step, _slowpath.cbc_step):
+        for b in (-2, plan.z.shape[0]):
+            with pytest.raises(ValueError, match="out of range"):
+                step(plan.start(), b, 0.5, True)
 
 
 def _run(code, **env):

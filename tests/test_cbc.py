@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from latgen import cbc
+from latgen import _kernels, cbc
 from latgen.cbc import (
     V_quality,
     _cbc_greedy,
@@ -55,6 +55,14 @@ def _slot_residues(N):
     return np.concatenate(layout.blocks + (layout.fixed,))[:-1]
 
 
+def _scores(plan, p):
+    """The plan's scores and bound on a copy of the state p, which the step
+    leaves as it is (b = -1)."""
+    st = plan.start(p)
+    plan.step(st, -1, 0.0)
+    return st.sc, float(st.bound[0])
+
+
 def _conv_reference(a, b):
     """Naive cyclic convolution c_k = sum_j a_j b_{(k - j) mod n}."""
     n = len(a)
@@ -71,7 +79,7 @@ def test_rader_scores_match_direct(N):
     q += q[::-1]  # q[k-1] == q[N-k-1], as for every running product
     tab = _omega_table(N)
     plan = scoring_plan(N, tab)
-    scores, bound = plan.scores(q[_slot_residues(N) - 1])
+    scores, bound = _scores(plan, q[_slot_residues(N) - 1])
     assert sorted(plan.z.tolist()) == list(range(1, (N - 1) // 2 + 1))
     # Rader: with k = g^i, z = g^m the scores are a cyclic convolution
     L = N - 1
@@ -163,7 +171,7 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
     q = 1.0 + W095.gamma(1) * tab[1:]
     for d in range(2, 61):
         if d in (2, 30, 60):
-            scores, bound = plan.scores(q[res - 1])
+            scores, bound = _scores(plan, q[res - 1])
             exact = np.array([q @ tab[k * z % N] for z in plan.z.tolist()])
             assert np.max(np.abs(scores - exact)) <= bound
             for b, z in enumerate(plan.z.tolist()[:50]):
@@ -190,8 +198,8 @@ def _layout_fold(q, res):
 def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     """Along a fast greedy run, the running product is kept on the slots of
     unit_layout(N) but its last: the plan's slots are the layout's without
-    residue 0, the state holds the natural-order q of cbc_naive at each
-    slot's residue after every component, and its scores and bound are
+    residue 0, the state each step scores holds the natural-order q of
+    cbc_naive at each slot's residue, and the step's scores and bound are
     exactly those of the fold gathered from that q. The long blocks' slots
     are +- pairs, whose factor 2 the plan keeps in each level's spectrum and
     kernel norm; the reference plan takes it back out, an exact halving,
@@ -200,14 +208,17 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     tab = fourier_decay_table(alpha, N)
     gammas = power_weights(w, alpha).gammas[:s]
     states = []
-    refined_argmin = cbc._refined_argmin
+    step = _kernels.cbc_step
 
-    def recording(plan, p):
-        states.append((plan, p.copy()))
-        return refined_argmin(plan, p)
+    def recording(st, b, gamma, score):
+        n = step(st, b, gamma, score)
+        if score:
+            states.append((st.plan, st.p.copy(), st.sc.copy(), float(st.bound[0])))
+        return n
 
-    monkeypatch.setattr(cbc, "_refined_argmin", recording)
+    monkeypatch.setattr(_kernels, "cbc_step", recording)
     v = _cbc_greedy(N, s, gammas, tab)
+    monkeypatch.undo()
     assert len(states) == s - 1
     layout = unit_layout(N)
     res = _slot_residues(N)
@@ -219,18 +230,18 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
     for lv in plan.levels:  # the factor 2 on the spectrum of a_0, a_(L-1), ..., a_1
         _, _, K, norm = cbc._spectrum(np.roll(tab[res[lv.start : lv.stop]][::-1], 1))
         assert lv.kernel_norm == 2 * norm and np.array_equal(lv.K, 2 * lv.step * K)
+        assert np.array_equal(lv.values, np.tile(tab[res[lv.start : lv.stop]], 2))
     ref_plan = dataclasses.replace(
         plan, short_counts=np.ones_like(plan.short_counts),
         levels=tuple(dataclasses.replace(lv, K=lv.K / 2, kernel_norm=lv.kernel_norm / 2)
                      for lv in plan.levels))
     k = np.arange(1, N)
     q = 1.0 + gammas[0] * tab[1:]
-    for d, (plan, p) in enumerate(states, start=2):
+    for d, (plan, p, sc, bound) in enumerate(states, start=2):
         assert np.array_equal(p, q[res - 1]) and np.array_equal(p[plan.natural], q), d
         f = _layout_fold(q, res)
         assert np.array_equal(p * counts, f), d
-        sc, bound = plan.scores(p)
-        ref, ref_bound = ref_plan.scores(f)
+        ref, ref_bound = _scores(ref_plan, f)
         assert np.array_equal(sc, ref) and bound == ref_bound, d
         q *= 1.0 + gammas[d - 1] * tab[k * v.z[d - 1] % N]
 
@@ -238,8 +249,9 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
 @pytest.mark.parametrize("N", [61, 131, 8147, 64, 2048])
 def test_fast_mode_reads_columns_only_to_rescore(N, monkeypatch):
     """The fast CBC starts, scores and updates on the slots; it gathers into
-    natural order only to rescore: the state once per rescoring component,
-    then one column per rescored candidate, and never otherwise."""
+    natural order only to rescore a step's near set of several candidates:
+    the state once, then one column per candidate of the set, and never
+    otherwise."""
     events = []
 
     class CountingPlan:
@@ -257,20 +269,33 @@ def test_fast_mode_reads_columns_only_to_rescore(N, monkeypatch):
         events.append("G")
         return _gather_score(q, plan, b)
 
+    step = _kernels.cbc_step
+    near_sizes = []
+
+    def recording_step(st, b, gamma, score):
+        n = step(st, b, gamma, score)
+        if score:
+            near_sizes.append(n)
+        return n
+
     monkeypatch.setattr(cbc, "_gather_score", counting_gather)
     monkeypatch.setattr(cbc, "scoring_plan", lambda N, tab: CountingPlan(scoring_plan(N, tab)))
+    monkeypatch.setattr(_kernels, "cbc_step", recording_step)
     if N % 2:
         construct_korobov_cbc(N, 30, W095)
     construct_standard_cbc(N, 30, 2.0, power_weights(W095, 2.0))
     assert "G" in events  # the second component rescores its tied candidates
     # per rescoring component: q = p[natural], then column(b)[natural] per candidate
-    assert re.fullmatch(r"(N(GN)+)+", "".join(events)), "".join(events)
+    groups = re.fullmatch(r"(N(GN)+)+", "".join(events))
+    assert groups, "".join(events)
+    assert [g.count("G") for g in re.findall(r"N(?:GN)+", "".join(events))] == [
+        n for n in near_sizes if n > 1]
 
 
 @pytest.mark.parametrize("N", [8, 256, 61, 127])
 def test_short_block_plans_call_no_fft(N, monkeypatch):
     """No block of these N is longer than ROW_SPAN, so the plan scores every
-    candidate by one row-table product and never calls numpy.fft."""
+    candidate by the step's row-table product and never calls numpy.fft."""
     assert max(bl.shape[0] for bl in unit_layout(N).blocks) <= ROW_SPAN
     tab = fourier_decay_table(2.0, N)
     gammas = power_weights(W095, 2.0).gammas[:12]
@@ -283,8 +308,32 @@ def test_short_block_plans_call_no_fft(N, monkeypatch):
         monkeypatch.setattr(np.fft, name, no_fft)
     plan = scoring_plan(N, tab)
     assert not plan.levels
-    plan.scores(np.ones(_slot_residues(N).shape[0]))
+    _scores(plan, np.ones(_slot_residues(N).shape[0]))
     assert _cbc_greedy(N, 12, gammas, tab) == naive
+
+
+@pytest.mark.parametrize("N", [61, 256])
+def test_construction_without_transform_is_one_step_per_component(N, monkeypatch):
+    """A plan with no long level runs each component as one compiled step
+    (update, scores, bound and near set), s - 1 of them for s components,
+    and never calls numpy.fft."""
+    s = 40
+    calls = []
+    step = _kernels.cbc_step
+
+    def counting(st, b, gamma, score):
+        calls.append(score)
+        return step(st, b, gamma, score)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("numpy.fft was called")
+
+    monkeypatch.setattr(_kernels, "cbc_step", counting)
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, no_fft)
+    w = power_weights(WJ2, 2.0)
+    v = (construct_korobov_cbc(N, s, WJ2) if N % 2 else construct_standard_cbc(N, s, 2.0, w))
+    assert v.s == s and calls == [True] * (s - 1)
 
 
 @pytest.mark.filterwarnings("error")
