@@ -8,11 +8,13 @@ bounds.
 """
 
 from ._kernels import BACKEND, BACKEND_REASON
-from .cbc import V_quality, construct_korobov_cbc, construct_standard_cbc
-from .cbc_dbd import H_quantity, construct_cbc_dbd
+from .cbc import construct_korobov_cbc, construct_standard_cbc
+from .cbc_dbd import construct_cbc_dbd
 from .error import (
+    H_quantity,
     T_alpha_quantity,
     T_quantity,
+    V_quality,
     bound_thm_cbc,
     bound_thm_cbcdbd,
     bound_thm_existence,

@@ -1,4 +1,5 @@
-"""Backend selection for the compiled kernels, dbd_construct and product_sum.
+"""Backend selection for the compiled kernels, dbd_construct, product_sum and
+cbc_step.
 
 The C kernels in _dbd.c are compiled with the system C compiler (the first
 of cc, gcc, clang on PATH) the first time this module is imported, and

@@ -7,7 +7,8 @@ product_columns its loop over columns given as arrays, which also serves
 the moduli whose columns are gathers (see weights.subset_product_sum).
 
 cbc_step is the twin of one fast-CBC component (latgen.cbc.ScoringPlan.step):
-the update, the short tail's scores, the rounding bound and the near set.
+the update, through the plan's one reader of a rotation, ScoringPlan.column,
+then the short tail's scores, the rounding bound and the near set.
 
 dbd_construct is the twin of the CBC-DBD construction. Both keep the state on
 the unit layout of N = 2^n (numtheory.unit_layout): the odd residues mod 2^t
@@ -166,24 +167,20 @@ def norm(a: np.ndarray) -> float:
 
 def cbc_step(st, b, gamma, score):
     """One component of the fast CBC on the step state st (latgen.cbc): for
-    0 <= b < len(st.sc), first st.p *= 1 + gamma * st.plan.column(b), read
-    as a slice of each long level's doubled values and one row of the short
-    tail's table; b = -1 leaves st.p as it is. Then, if score is true, the
-    short tail's scores st.ct.T @ p[short:] are added to the transform's
-    scores in st.sc (written there when the plan has no long level), the
-    rounding bound goes to st.bound[0] and the near set, the candidates
-    within twice the bound of the least score, to st.near. Returns the size
-    of the near set; 0 if the scores are not finite or score is false."""
+    0 <= b < len(st.sc), first st.p *= 1 + gamma * st.plan.column(b), the
+    same elementwise operations as the compiled step's update; b = -1 leaves
+    st.p as it is. Then, if score is true, the short tail's scores
+    st.ct.T @ p[short:] are added to the transform's scores in st.sc
+    (written there when the plan has no long level), the rounding bound
+    goes to st.bound[0] and the near set, the candidates within twice the
+    bound of the least score, to st.near. Returns the size of the near set;
+    0 if the scores are not finite or score is false."""
     plan, p, sc = st.plan, st.p, st.sc
     if not -1 <= b < sc.shape[0]:
         raise ValueError("candidate %d is out of range" % b)
     ps = p[plan.short :]
     if b >= 0:
-        for lv in plan.levels:
-            L = lv.stop - lv.start
-            r = -b % L
-            p[lv.start : lv.stop] *= 1.0 + gamma * lv.values[r : r + L]
-        ps *= 1.0 + gamma * plan.rows[b % plan.rows.shape[0]]
+        p *= 1.0 + gamma * plan.column(b)
     if not score:
         return 0
     bound = 0.0

@@ -1,10 +1,10 @@
 """Whole-component CBC constructions.
 
 Two quality functions are supported: the log-sine quality V (smoothness-free,
-prime N) and the worst-case error itself (the standard CBC benchmark, prime or
-power-of-two N). Component d minimizes, over the candidates z, the score
-sum_{k=1}^{N-1} q[k-1] * tab[(k z) mod N], where q is the running product
-over the earlier components.
+prime N; error.V_quality evaluates it) and the worst-case error itself (the
+standard CBC benchmark, prime or power-of-two N). Component d minimizes, over
+the candidates z, the score sum_{k=1}^{N-1} q[k-1] * tab[(k z) mod N], where
+q is the running product over the earlier components.
 
 Both constructions run Nuyens and Cools' fast CBC. `scoring_plan` builds,
 once per construction, the spectra of the long blocks' kernels and the row
@@ -14,9 +14,9 @@ of residues: the slots of numtheory.unit_layout but the last, residue 0,
 which is not in q. Every unit z = +-g^b (+-5^b) rotates each block by b,
 and the scores of z and N - z are bit-equal, so only z <= N/2 are scored,
 in the order of -b. The plan reads the kernel values a candidate meets,
-tab[a z mod N] at each slot's residue a, one way: column(b), which is
-numtheory.UnitColumns.column at rotation -b, a slice of each long block's
-doubled kernel values and one row of the row table. A component costs the
+tab[a z mod N] at each slot's residue a, one way: column(b), a slice of
+each long block's doubled kernel values at rotation -b and one row of the
+row table, the slices the compiled step reads too. A component costs the
 update p *= 1 + gamma * column(b) of the component before it, the scoring
 below, the argmin and the near set, all on contiguous memory; the first
 update turns the all-ones start into 1 + gamma_1 * column(0), since
@@ -71,33 +71,16 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
-from .error import lattice_kernel_sum
-from .kernel import LN4, fourier_decay_table, kernel_table
+from .kernel import fourier_decay_table, omega_table
 from .numtheory import GeneratingVector, UnitColumns, is_prime, unit_layout
 from .weights import ProductWeights
 
 __all__ = [
-    "V_quality",
     "construct_korobov_cbc",
     "construct_standard_cbc",
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _omega_table(N: int) -> np.ndarray:
-    """omega(a / N) = ln(1/sin^2(pi a / N)) - ln 4 by residue, tab[0] = 0."""
-    tab = kernel_table(N)
-    tab[1:] -= LN4
-    return tab
-
-
-def V_quality(v: GeneratingVector, w) -> float:
-    """V = sum over nonempty u of gamma_u sum_{k=1}^{N-1} prod_{j in u} omega({k z_j / N}).
-
-    The lattice sum's k = 0 term is zero, since the table stores 0 at a = 0.
-    """
-    return lattice_kernel_sum(v, _omega_table(v.N), w)
 
 
 def _gather_score(q: np.ndarray, plan: "ScoringPlan", b: int) -> float:
@@ -143,15 +126,14 @@ class ScoringPlan:
     The state p has the slots of unit_layout(N) but the last: slot i stands
     for a residue a and N - a (one residue for N/2), whose entries of the
     natural-order running product are equal: q = p[natural]. column(b) holds
-    tab[a z mod N] on the same slots for z = z[b], read from cols. A
-    _StepState holds one construction's p; step(st, b, gamma) updates it and
+    tab[a z mod N] on the same slots for z = z[b], read from levels and rows.
+    A _StepState holds one construction's p; step(st, b, gamma) updates it and
     scores every candidate, and st.sc[b] approximates the exact score
     _gather_score(st.p[natural], plan, b) within st.bound[0].
     """
 
     z: np.ndarray  # z[b] is the one of +-g^(-b) (+-5^(-b) for N = 2^n) below N/2
     natural: np.ndarray  # int64, the slot of each k = 1..N-1 (UnitLayout.slot[1:])
-    cols: UnitColumns  # the kernel values on the layout's slots
     levels: Tuple[_Level, ...]  # the blocks longer than ROW_SPAN
     size: int  # length of the one inverse transform
     offset: int  # the scores start here in the inverse transform
@@ -162,8 +144,15 @@ class ScoringPlan:
 
     def column(self, b: int) -> np.ndarray:
         """tab[a z mod N] at each slot's residue a, for z = z[b], which
-        rotates every block by -b (UnitColumns.column), without residue 0."""
-        return self.cols.column(-b % self.z.shape[0])[:-1]
+        rotates every block by -b: values[r : r + L] of each long level,
+        r = -b mod L, then rows[b mod P] for the short tail. _dbd.c's
+        cbc_step reads the same slices."""
+        parts = []
+        for lv in self.levels:
+            r = -b % (lv.stop - lv.start)
+            parts.append(lv.values[r : r + lv.stop - lv.start])
+        parts.append(self.rows[b % self.rows.shape[0]])
+        return np.concatenate(parts)
 
     def start(self, p=None) -> "_StepState":
         """A step state on a copy of p, or on all ones, the empty product."""
@@ -269,7 +258,7 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     P = cols.rows.shape[0]
     rows = cols.rows[-np.arange(P) % P, :-1]
     size, offset = spectra[0][:2] if spectra else (0, 0)
-    return ScoringPlan(z=np.minimum(zr, N - zr), natural=layout.slot[1:], cols=cols,
+    return ScoringPlan(z=np.minimum(zr, N - zr), natural=layout.slot[1:],
                        levels=tuple(levels), size=size, offset=offset, short=start,
                        short_counts=layout.counts[start:-1], rows=rows,
                        row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()))
@@ -323,8 +312,7 @@ def construct_korobov_cbc(N: int, s: int, w: ProductWeights) -> GeneratingVector
         raise ValueError("need s >= 1")
     if w.s < s:
         raise ValueError("weight sequence shorter than requested dimension")
-    tab = _omega_table(N)
-    return _cbc_greedy(N, s, w.gammas[:s], tab)
+    return _cbc_greedy(N, s, w.gammas[:s], omega_table(N))
 
 
 def construct_standard_cbc(
@@ -344,5 +332,4 @@ def construct_standard_cbc(
     power_of_two = N & (N - 1) == 0 and N >= 2
     if not power_of_two and not (is_prime(N) and N >= 3):
         raise ValueError("N must be prime or a power of two")
-    tab = fourier_decay_table(alpha, N)
-    return _cbc_greedy(N, s, w_alpha.gammas[:s], tab)
+    return _cbc_greedy(N, s, w_alpha.gammas[:s], fourier_decay_table(alpha, N))

@@ -13,15 +13,15 @@ weights a candidate's score differs from h by the factor 2 of the +- pairs
 and an additive constant that depends only on n and v, so minimizing either
 picks the same bit; latgen.oracles.h_naive evaluates h as the subset sum
 that defines it, the differential oracle the construction is tested against.
+The quality H of the finished vector is error.H_quantity.
 """
 
 from . import _kernels
-from .error import lattice_kernel_sum
 from .kernel import kernel_table
 from .numtheory import GeneratingVector
 from .weights import ProductWeights
 
-__all__ = ["construct_cbc_dbd", "H_quantity"]
+__all__ = ["construct_cbc_dbd"]
 
 #: Relative margin by which bit 1 must beat bit 0. Exact ties are common (at
 #: v = 2, x and -x mod 4 always tie); without a margin they would be decided
@@ -59,13 +59,3 @@ def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
                 % (len(built) + 2))
         z[1:] = built
     return GeneratingVector(1 << n, tuple(z))
-
-
-def H_quantity(v: GeneratingVector, w) -> float:
-    """H = sum over nonempty u of gamma_u sum_{k=1}^{N-1} prod_{j in u} L({k z_j / N})
-    with L(x) = ln(1/sin^2(pi x)); for product weights this is
-    -(N-1) + sum_{k=1}^{N-1} prod_j (1 + gamma_j L({k z_j / N}))."""
-    N = v.N
-    if N & (N - 1) != 0:
-        raise ValueError("H is defined for N = 2^n")
-    return lattice_kernel_sum(v, kernel_table(N), w)

@@ -146,17 +146,22 @@ def _sweep_moduli(args):
 
 
 def _run_rows(jobs):
-    threads = int(os.environ.get("LATGEN_THREADS") or "0")
-    if threads > 1 and len(jobs) > 1:
+    """The sweep rows of jobs, in a pool of LATGEN_THREADS worker processes
+    capped at the rows and the usable CPUs (a pool forks all its workers at
+    once), or serially."""
+    raw = os.environ.get("LATGEN_THREADS") or "0"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValueError("LATGEN_THREADS must be an integer, got %r" % (raw,))
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(threads, len(jobs), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_sweep_row_star, jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(sweep_row, *zip(*jobs)))
     return [sweep_row(*job) for job in jobs]
-
-
-def _sweep_row_star(job):
-    return sweep_row(*job)
 
 
 def cmd_sweep(args) -> int:

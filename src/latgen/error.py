@@ -1,9 +1,10 @@
 """Worst-case error and related quality quantities.
 
 Each quantity is a lattice_kernel_sum, sum over nonempty u of gamma_u
-sum_k prod_{j in u} tab[k z_j mod N] for a residue-indexed table: the
-worst-case error e (through the character property) and the truncated-kernel
-measures T and T_alpha here, H and V in the construction modules. The
+sum_k prod_{j in u} tab[k z_j mod N] for a residue-indexed table of
+latgen.kernel: the worst-case error e (through the character property), the
+truncated-kernel measures T and T_alpha, and the qualities the two
+smoothness-free constructions minimize, H (CBC-DBD) and V (Korobov CBC). The
 theorem-bound evaluators, the right-hand sides the constructions are
 guaranteed to satisfy, are the same weighted sum over one-point columns; both
 go through weights.subset_product_sum. latgen.oracles.wce_bruteforce
@@ -26,14 +27,15 @@ import math
 
 import numpy as np
 
-from .kernel import cosine_dft, fourier_decay_table
+from .kernel import fourier_decay_table, kernel_table, omega_table, vartheta_table
 from .numtheory import ColumnSlices, GeneratingVector, UnitColumns, unit_layout
 from .weights import subset_product_sum
 
 __all__ = [
     "lattice_kernel_sum",
     "wce_product",
-    "vartheta_table",
+    "H_quantity",
+    "V_quality",
     "T_quantity",
     "T_alpha_quantity",
     "bound_thm_existence",
@@ -66,23 +68,22 @@ def wce_product(v: GeneratingVector, alpha: float, w, layout=None) -> float:
     return lattice_kernel_sum(v, fourier_decay_table(alpha, v.N), w, layout) / v.N
 
 
-def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
-    """tab[a] = sum_{0 < |m| < N} e^(2 pi i m a / N) / |m|^alpha for a = 0..N-1.
+def H_quantity(v: GeneratingVector, w) -> float:
+    """H = sum over nonempty u of gamma_u sum_{k=1}^{N-1} prod_{j in u} L({k z_j / N})
+    with L(x) = ln(1/sin^2(pi x)); for product weights this is
+    -(N-1) + sum_{k=1}^{N-1} prod_j (1 + gamma_j L({k z_j / N}))."""
+    N = v.N
+    if N & (N - 1) != 0:
+        raise ValueError("H is defined for N = 2^n")
+    return lattice_kernel_sum(v, kernel_table(N), w)
 
-    Folding m by residue class gives coefficients c_res = res^-alpha +
-    (N-res)^-alpha, so one length-N DFT produces every residue's value;
-    tab[0] = 2 sum_{m=1}^{N-1} m^-alpha.
+
+def V_quality(v: GeneratingVector, w) -> float:
+    """V = sum over nonempty u of gamma_u sum_{k=1}^{N-1} prod_{j in u} omega({k z_j / N}).
+
+    The lattice sum's k = 0 term is zero, since the table stores 0 at a = 0.
     """
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if alpha < 1.0:
-        raise ValueError("requires alpha >= 1")
-    p = np.arange(1, N, dtype=float) ** (-alpha)
-    c = np.zeros(N)
-    c[1:] = p + p[::-1]
-    tab = cosine_dft(c)
-    tab[0] = 2.0 * math.fsum(memoryview(p))
-    return tab
+    return lattice_kernel_sum(v, omega_table(v.N), w)
 
 
 def T_quantity(v: GeneratingVector, w, layout=None) -> float:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .cbc import construct_korobov_cbc, construct_standard_cbc
 from .cbc_dbd import construct_cbc_dbd
-from .error import vartheta_table, wce_product
+from .error import wce_product
+from .kernel import fourier_decay_table, omega_table, vartheta_table
 from .numtheory import GeneratingVector, prev_prime
 from .sweep import sweep_row, write_sweep_csv
 from .weights import GeneralWeights, ProductWeights, power_weights
@@ -218,8 +219,6 @@ def _run_table1(cfg: ExperimentConfig, out_dir: str):
 
 def _run_oracles(cfg: ExperimentConfig, out_dir: str):
     # imported here: the references are needed by this config alone
-    from .cbc import _omega_table
-    from .kernel import fourier_decay_table
     from .oracles import cbc_naive, h_naive, vartheta_truncated, wce_bruteforce
 
     checks = []
@@ -246,7 +245,7 @@ def _run_oracles(cfg: ExperimentConfig, out_dir: str):
     # whole-component CBC: the fast constructions pick the O(N^2) CBC's vectors
     differ = []
     for N in (17, 31, 61):
-        if construct_korobov_cbc(N, 4, w) != cbc_naive(N, 4, w.gammas, _omega_table(N)):
+        if construct_korobov_cbc(N, 4, w) != cbc_naive(N, 4, w.gammas, omega_table(N)):
             differ.append("korobov-cbc N=%d" % N)
     wa = power_weights(ProductWeights(w.gammas[:3]), 2.0)
     for N in (31, 32):

@@ -1,20 +1,22 @@
 """Residue tables of the kernels, and the scalar math behind them.
 
-The log-sine table ln(1/sin^2(pi a / N)), Bernoulli polynomials, zeta(alpha),
-and the table of the Fourier decay sum sum_{m != 0} e^{2 pi i m a / N} /
-|m|^alpha that appears in the worst-case error. latgen.oracles evaluates the
-same kernels one point at a time, as the references the tables are tested
-against.
+Every table the constructions and the lattice sums read is built here: the
+log-sine table ln(1/sin^2(pi a / N)) (H and CBC-DBD), its shift omega by
+-ln 4 (V and Korobov CBC), the Fourier decay sum sum_{m != 0}
+e^{2 pi i m a / N} / |m|^alpha of the worst-case error, and its truncation
+at |m| < N (T and T_alpha); with them Bernoulli polynomials and
+zeta(alpha). latgen.oracles evaluates the same kernels one point at a time,
+as the references the tables are tested against.
 
 scipy is imported only by the Hurwitz-zeta fold of fourier_decay_table at
 alpha outside {2, 4, 6, 8}, on its first use; the log-sine tables, the
 even-alpha closed forms and everything else here need numpy alone, so a
 process that never builds such a table never loads scipy.
 
-The per-modulus tables, kernel_table and fourier_decay_table here and
-error.vartheta_table, share one format: a length-N array indexed by the
+The per-modulus tables, kernel_table, omega_table, vartheta_table and
+fourier_decay_table, share one format: a length-N array indexed by the
 residue a = k z mod N, exactly symmetric (tab[a] == tab[N - a]). The log-sine
-table, which is undefined at a = 0, stores tab[0] = 0 there. vartheta_table
+tables, which are undefined at a = 0, store tab[0] = 0 there. vartheta_table
 and the Hurwitz fold of fourier_decay_table fold their series by residue
 class, and cosine_dft turns the fold into values, one numpy.fft transform.
 """
@@ -27,6 +29,8 @@ __all__ = [
     "LN4",
     "cosine_dft",
     "kernel_table",
+    "omega_table",
+    "vartheta_table",
     "bernoulli_poly",
     "zeta",
     "fourier_decay_table",
@@ -73,6 +77,32 @@ def kernel_table(N: int) -> np.ndarray:
     # of each (k, N-k) pair to the identical double.
     np.add(vals, vals[::-1], out=tab[1:])
     tab[1:] *= 0.5
+    return tab
+
+
+def omega_table(N: int) -> np.ndarray:
+    """omega(a / N) = ln(1/sin^2(pi a / N)) - ln 4 by residue, tab[0] = 0."""
+    tab = kernel_table(N)
+    tab[1:] -= LN4
+    return tab
+
+
+def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
+    """tab[a] = sum_{0 < |m| < N} e^(2 pi i m a / N) / |m|^alpha for a = 0..N-1.
+
+    Folding m by residue class gives coefficients c_res = res^-alpha +
+    (N-res)^-alpha, so one length-N DFT produces every residue's value;
+    tab[0] = 2 sum_{m=1}^{N-1} m^-alpha.
+    """
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if alpha < 1.0:
+        raise ValueError("requires alpha >= 1")
+    p = np.arange(1, N, dtype=float) ** (-alpha)
+    c = np.zeros(N)
+    c[1:] = p + p[::-1]
+    tab = cosine_dft(c)
+    tab[0] = 2.0 * math.fsum(memoryview(p))
     return tab
 
 

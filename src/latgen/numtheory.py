@@ -308,8 +308,10 @@ class UnitColumns:
     values that a rotation by r meets are one slice of it. The shorter blocks
     and the fixed slots are stored once per rotation, as the rows of one
     table (rows). All of them are views of one contiguous buffer. A unit z
-    rotates every block by r = layout.slot[z]: column(r) reads the values at
-    rotation r, and columns(zs) the same slices as ColumnSlices.
+    rotates every block by r = layout.slot[z], and columns(zs) reads the
+    values at those rotations as ColumnSlices: of each long block's doubled
+    values the slice from r mod L, then row r mod P of the row table. The
+    fast CBC's plan (latgen.cbc.ScoringPlan.column) reads the same slices.
     """
 
     def __init__(self, layout: UnitLayout, tab):
@@ -334,14 +336,6 @@ class UnitColumns:
         self._starts = starts
         self._lengths = np.array(lengths, dtype=np.int64)
 
-    def column(self, r: int) -> np.ndarray:
-        """The values at rotation r of a cyclic layout, tab[a z mod N] at each
-        slot's residue a for the units z in slot r: each long block's doubled
-        values from r mod L, then row r mod P of the row table."""
-        parts = [tt[r % L : r % L + L] for tt, L in self.doubled]
-        parts.append(self.rows[r % self.rows.shape[0]])
-        return np.concatenate(parts)
-
     def columns(self, zs):
         """The columns for the units zs: ColumnSlices of the buffer when the
         layout is cyclic, else an iterator of gathers tab[k z mod N]."""
@@ -352,7 +346,7 @@ class UnitColumns:
         bad = np.flatnonzero(np.gcd(zs, lay.N) != 1)
         if bad.size:
             raise ValueError("z = %d is not a unit mod %d" % (zs[bad[0]], lay.N))
-        r = lay.slot[zs][:, None]  # as in column: r mod L, then row r mod P
+        r = lay.slot[zs][:, None]  # r mod L of each long block, then row r mod P
         L = self._lengths
         offsets = np.empty((r.shape[0], L.shape[0]), dtype=np.int64)
         offsets[:, :-1] = self._starts[:-1] + r % L[:-1]

@@ -4,10 +4,10 @@ Each one computes a quantity from its definition, with no layout, transform
 or fold, so that it shares no code with the library path it checks:
 
 - omega, log_inv_sin2, vartheta_truncated and fourier_decay_sum evaluate the
-  kernels one point at a time (kernel_table, error.vartheta_table and
-  kernel.fourier_decay_table build the same values for every residue);
-  fourier_decay_sum takes the Bernoulli polynomial in exact rational
-  arithmetic at even alpha, the truncated series otherwise;
+  kernels one point at a time (kernel.omega_table, kernel_table,
+  vartheta_table and fourier_decay_table build the same values for every
+  residue); fourier_decay_sum takes the Bernoulli polynomial in exact
+  rational arithmetic at even alpha, the truncated series otherwise;
 - wce_bruteforce enumerates the dual lattice for the worst-case error e,
   with a rigorous tail bound (error.wce_product);
 - h_naive sums the digit-wise quality h of CBC-DBD over subsets
@@ -234,7 +234,7 @@ def cbc_naive(N: int, s: int, gammas, tab: np.ndarray) -> GeneratingVector:
     q @ tab[k z mod N] over k = 1..N-1, the smallest z winning ties, where
     q[k-1] = prod_{j<d} (1 + gamma_j tab[k z_j mod N]) is kept in natural
     order. tab is the residue-indexed kernel table the construction scores
-    with (cbc._omega_table for Korobov, the decay table for standard CBC).
+    with (kernel.omega_table for Korobov, the decay table for standard CBC).
     Scores that are not finite raise the ValueError the construction raises.
     """
     k = np.arange(1, N, dtype=np.int64)

@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 
 from latgen import BACKEND, BACKEND_REASON, _slowpath
-from latgen.cbc import V_quality, _omega_table, construct_korobov_cbc, construct_standard_cbc
-from latgen.cbc_dbd import H_quantity, construct_cbc_dbd
+from latgen.cbc import construct_korobov_cbc, construct_standard_cbc
+from latgen.cbc_dbd import construct_cbc_dbd
 from latgen.error import (
+    H_quantity,
     T_quantity,
+    V_quality,
     bound_thm_cbc,
     bound_thm_cbcdbd,
-    vartheta_table,
     wce_product,
 )
-from latgen.kernel import LN4, fourier_decay_table, kernel_table
+from latgen.kernel import LN4, fourier_decay_table, kernel_table, omega_table, vartheta_table
 from latgen.numtheory import GeneratingVector, gcd, is_prime
 from latgen.oracles import (
     cbc_naive,
@@ -139,7 +140,7 @@ def test_criterion_02_fast_cbc_oracle():
         w = WEIGHT_FAMILIES[name](8)
         for N in primes:
             fast = construct_korobov_cbc(N, 8, w)
-            naive = cbc_naive(N, 8, w.gammas, _omega_table(N))
+            naive = cbc_naive(N, 8, w.gammas, omega_table(N))
             if fast != naive:
                 mismatches.append((name, N))
     dt = time.perf_counter() - t0

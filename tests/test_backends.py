@@ -10,9 +10,8 @@ import pytest
 
 import latgen
 from latgen import _kernels, _slowpath, cbc
-from latgen.cbc import (_gather_score, _omega_table, construct_korobov_cbc,
-                        construct_standard_cbc, scoring_plan)
-from latgen.kernel import fourier_decay_table, kernel_table
+from latgen.cbc import _gather_score, construct_korobov_cbc, construct_standard_cbc, scoring_plan
+from latgen.kernel import fourier_decay_table, kernel_table, omega_table
 from latgen.numtheory import ColumnSlices
 from latgen.oracles import cbc_naive
 from latgen.weights import ProductWeights, power_weights
@@ -128,7 +127,7 @@ def test_cbc_step_reports_non_finite_scores(N, monkeypatch):
     So has one NaN or -inf transform score among finite ones, while one
     +inf is merely not near. A state whose norm leaves double range makes
     neither backend raise."""
-    plan = scoring_plan(N, fourier_decay_table(2.0, N) if N % 2 == 0 else _omega_table(N))
+    plan = scoring_plan(N, fourier_decay_table(2.0, N) if N % 2 == 0 else omega_table(N))
     n = plan.start().p.shape[0]
     states = []
     for i in sorted({0, n // 2, n - 1}):
@@ -172,7 +171,7 @@ def test_cbc_step_bound_stays_finite_for_large_running_products(N, s, monkeypatc
     vector is cbc_naive's. N = 127 scores the short tail alone, N = 509 one
     long level alone."""
     w = ProductWeights(tuple(3.0**j for j in range(1, s + 1)))
-    naive = cbc_naive(N, s, w.gammas, _omega_table(N))
+    naive = cbc_naive(N, s, w.gammas, omega_table(N))
     for step in (_kernels.cbc_step, _slowpath.cbc_step):
         calls = []
 
@@ -190,7 +189,7 @@ def test_cbc_step_bound_stays_finite_for_large_running_products(N, s, monkeypatc
 
 
 def test_cbc_step_rejects_a_candidate_out_of_range():
-    plan = scoring_plan(61, _omega_table(61))
+    plan = scoring_plan(61, omega_table(61))
     for step in (_kernels.cbc_step, _slowpath.cbc_step):
         for b in (-2, plan.z.shape[0]):
             with pytest.raises(ValueError, match="out of range"):
@@ -252,10 +251,9 @@ def test_constructions_identical_across_backends():
 SUMS_CODE = (
     "import numpy as np\n"
     "import latgen\n"
-    "from latgen.cbc import _omega_table\n"
     "from latgen.error import (bound_thm_cbc, bound_thm_cbcdbd, bound_thm_existence,\n"
-    "                          lattice_kernel_sum, vartheta_table)\n"
-    "from latgen.kernel import fourier_decay_table, kernel_table\n"
+    "                          lattice_kernel_sum)\n"
+    "from latgen.kernel import fourier_decay_table, kernel_table, omega_table, vartheta_table\n"
     "from latgen.numtheory import GeneratingVector, gcd, is_prime\n"
     "from latgen.weights import ProductWeights\n"
     "print(latgen.BACKEND)\n"
@@ -263,7 +261,7 @@ SUMS_CODE = (
     "    rng = np.random.default_rng(N)\n"
     "    units = [k for k in range(1, N) if gcd(k, N) == 1]\n"
     "    tables = [fourier_decay_table(2.0, N), fourier_decay_table(2.5, N),\n"
-    "              vartheta_table(N), kernel_table(N), _omega_table(N)]\n"
+    "              vartheta_table(N), kernel_table(N), omega_table(N)]\n"
     "    for s in (1, 2, 100):\n"
     "        v = GeneratingVector(N, tuple(int(z) for z in rng.choice(units, size=s)))\n"
     "        for make in (lambda j: 1.0 / j**2, lambda j: 0.5**j):\n"

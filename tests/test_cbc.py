@@ -7,16 +7,15 @@ import pytest
 
 from latgen import _kernels, cbc
 from latgen.cbc import (
-    V_quality,
     _cbc_greedy,
     _gather_score,
-    _omega_table,
+    _spectrum,
     construct_korobov_cbc,
     construct_standard_cbc,
     scoring_plan,
 )
-from latgen.error import wce_product
-from latgen.kernel import fourier_decay_table
+from latgen.error import V_quality, wce_product
+from latgen.kernel import fourier_decay_table, omega_table
 from latgen.numtheory import ROW_SPAN, GeneratingVector, primitive_root, unit_layout
 from latgen.oracles import cbc_naive, omega
 from latgen.weights import GeneralWeights, ProductWeights, power_weights
@@ -77,7 +76,7 @@ def test_rader_scores_match_direct(N):
     rng = np.random.default_rng(N)
     q = rng.standard_normal(N - 1)
     q += q[::-1]  # q[k-1] == q[N-k-1], as for every running product
-    tab = _omega_table(N)
+    tab = omega_table(N)
     plan = scoring_plan(N, tab)
     scores, bound = _scores(plan, q[_slot_residues(N) - 1])
     assert sorted(plan.z.tolist()) == list(range(1, (N - 1) // 2 + 1))
@@ -103,6 +102,49 @@ def test_rader_scores_rejects_composite():
         scoring_plan(13, np.arange(13.0))
 
 
+def _convolve(a, b):
+    """The cyclic convolution a * b as the fast CBC computes it from the
+    spectrum of b."""
+    size, offset, K, _ = _spectrum(b)
+    c = np.fft.irfft(np.fft.rfft(a, size) * K, size)
+    return c[offset : offset + len(b)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 63, 64, 65, 96, 127, 128])
+def test_cyclic_convolution_matches_reference(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    assert _convolve(a, b) == pytest.approx(_conv_reference(a, b), abs=1e-9)
+
+
+def test_cyclic_convolution_both_routes_agree():
+    # a power-of-two length takes the direct route, any other the padded one
+    rng = np.random.default_rng(7)
+    for n, direct in ((1, True), (64, True), (65, False), (3, False)):
+        a = rng.standard_normal(n)
+        b = rng.standard_normal(n)
+        size, offset, _, norm = _spectrum(b)
+        if direct:
+            assert (size, offset) == (n, 0)
+            assert norm == pytest.approx(np.linalg.norm(b))
+        else:
+            assert size >= 2 * n and size & (size - 1) == 0
+            assert offset == n
+            assert norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(b))
+        assert _convolve(a, b) == pytest.approx(_conv_reference(a, b), abs=1e-9)
+
+
+def test_cyclic_convolution_commutes_and_shifts():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(40)
+    b = rng.standard_normal(40)
+    assert _convolve(a, b) == pytest.approx(_convolve(b, a))
+    e1 = np.zeros(40)
+    e1[1] = 1.0
+    assert _convolve(a, e1) == pytest.approx(np.roll(a, 1))
+
+
 @pytest.mark.parametrize(
     "N, w, s",
     [(17, W, 5), (31, W, 5), (61, W, 5), (127, W095, 40), (131, W095, 40), (251, W095, 40),
@@ -112,7 +154,7 @@ def test_rader_scores_rejects_composite():
 )
 def test_korobov_fast_equals_naive(N, w, s):
     fast = construct_korobov_cbc(N, s, w)
-    naive = cbc_naive(N, s, w.gammas, _omega_table(N))
+    naive = cbc_naive(N, s, w.gammas, omega_table(N))
     assert fast.z == naive.z
 
 
@@ -159,7 +201,7 @@ def test_plan_scores_within_bound_of_gather(N, alpha):
     scored by the row table alone, 131 and 257 by one transform. The plan's
     column of each candidate, gathered into natural order, is tab[k z mod N]."""
     if alpha is None:
-        tab, v = _omega_table(N), construct_korobov_cbc(N, 60, W095)
+        tab, v = omega_table(N), construct_korobov_cbc(N, 60, W095)
     else:
         tab = fourier_decay_table(alpha, N)
         v = construct_standard_cbc(N, 60, alpha, W095)
@@ -344,7 +386,7 @@ def test_running_product_overflow_is_reported(naive):
     returning a vector."""
     w = ProductWeights(tuple(1e3**j for j in range(1, 31)))
     if naive:
-        korobov = lambda N, s: cbc_naive(N, s, w.gammas, _omega_table(N))
+        korobov = lambda N, s: cbc_naive(N, s, w.gammas, omega_table(N))
         standard = lambda N, s: cbc_naive(N, s, w.gammas, fourier_decay_table(2.0, N))
     else:
         korobov = lambda N, s: construct_korobov_cbc(N, s, w)
@@ -362,7 +404,7 @@ def test_bound_stays_finite_for_large_running_products(monkeypatch):
     bound's norms are scaled instead, so no component rescores every
     candidate, and the vector is still cbc_naive's."""
     w = ProductWeights(tuple(3.0**j for j in range(1, 35)))
-    naive = cbc_naive(509, 34, w.gammas, _omega_table(509))
+    naive = cbc_naive(509, 34, w.gammas, omega_table(509))
     calls = []
 
     def counting(q, plan, b):

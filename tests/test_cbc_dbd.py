@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from latgen import _kernels, _slowpath
-from latgen.cbc_dbd import TIE_RTOL, H_quantity, construct_cbc_dbd
+from latgen.cbc_dbd import TIE_RTOL, construct_cbc_dbd
+from latgen.error import H_quantity
 from latgen.kernel import kernel_table
 from latgen.numtheory import GeneratingVector
 from latgen.oracles import h_naive, log_inv_sin2

@@ -208,6 +208,71 @@ def test_threaded_sweep_equals_the_serial_one(tmp_path):
     assert untimed(pooled) == rows
 
 
+def _sweep_pool_sizes(tmp_path, monkeypatch, threads, rows):
+    """Runs a cbc-dbd sweep of rows rows under LATGEN_THREADS=threads with a
+    ProcessPoolExecutor that records its max_workers and maps in this
+    process, so no worker process is started. Returns the recorded sizes."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("LATGEN_THREADS", threads)
+    out = str(tmp_path / "rows.csv")
+    assert main(["sweep", "--algo", "cbc-dbd", "--weights", "product:1/j^2", "--alpha-list", "2",
+                 "--s", "3", "--n-range", "3..%d" % (2 + rows), "--out", out]) == 0
+    with open(out) as fh:
+        assert len(list(csv.reader(fh))) == rows + 1
+    return sizes
+
+
+@pytest.mark.parametrize("threads, cpus, affinity, rows, workers", [
+    ("100000", 8, True, 2, 2),
+    ("100000", 3, True, 4, 3),
+    ("100000", 3, False, 4, 3),
+    ("2", 8, True, 4, 2),
+    ("1", 8, True, 4, None),
+    ("", 8, True, 4, None),
+], ids=["rows cap", "cpu cap", "cpu_count cap", "as asked", "one", "unset"])
+def test_sweep_pool_is_capped_at_rows_and_usable_cpus(tmp_path, monkeypatch, threads, cpus,
+                                                     affinity, rows, workers):
+    """A pool forks all its workers at once, so LATGEN_THREADS is capped at
+    the rows and the usable CPUs: the affinity mask's where the platform has
+    one, os.cpu_count() elsewhere. At most one worker runs the rows serially."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2 * cpus)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sizes = _sweep_pool_sizes(tmp_path, monkeypatch, threads, rows)
+    assert sizes == ([] if workers is None else [workers])
+
+
+def test_non_integer_threads_exit_2_naming_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LATGEN_THREADS", "lots")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--algo", "cbc-dbd", "--weights", "product:1/j^2", "--alpha-list", "2",
+                 "--s", "3", "--n-range", "3..4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "LATGEN_THREADS" in err and "'lots'" in err
+    assert not out.exists()
+
+
 def test_huge_modulus_exits_2_before_allocating(tmp_path, capsys):
     vec = str(tmp_path / "v.txt")
     assert main(["construct", "--algo", "cbc-dbd", "--n", "40", "--s", "2",
@@ -336,6 +401,35 @@ def test_library_does_not_import_the_cli():
                 else:
                     continue
                 assert all(t.split(".")[-1] != "cli" for t in targets), (name, targets)
+
+
+def test_tables_live_in_kernel_and_constructions_do_not_import_error():
+    """The residue tables have one home, latgen.kernel: no other module
+    defines a module-level *_table function. The construction modules import
+    nothing from latgen.error, whose quality sums judge their vectors."""
+    pkg = os.path.dirname(os.path.abspath(latgen.__file__))
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(pkg, name)).read())
+        tables = [node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.endswith("_table")]
+        assert name == "kernel.py" or not tables, (name, tables)
+        if name not in ("cbc.py", "cbc_dbd.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                if node.level:
+                    mod = "latgen." + mod if mod else "latgen"
+                targets = [mod] + ["%s.%s" % (mod, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(t == "latgen.error" or t.startswith("latgen.error.")
+                           for t in targets), (name, targets)
 
 
 @pytest.mark.filterwarnings("error")

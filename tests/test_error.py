@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latgen import error
-from latgen.cbc import _omega_table, construct_korobov_cbc, construct_standard_cbc
+from latgen.cbc import construct_korobov_cbc, construct_standard_cbc
 from latgen.cbc_dbd import construct_cbc_dbd
 from latgen.error import (
     T_alpha_quantity,
@@ -13,10 +13,9 @@ from latgen.error import (
     bound_thm_cbcdbd,
     bound_thm_existence,
     lattice_kernel_sum,
-    vartheta_table,
     wce_product,
 )
-from latgen.kernel import fourier_decay_table, kernel_table
+from latgen.kernel import fourier_decay_table, kernel_table, omega_table, vartheta_table
 from latgen.numtheory import GeneratingVector, gcd, unit_layout
 from latgen.oracles import ErrorInterval, wce_bruteforce
 from latgen.weights import GeneralWeights, ProductWeights, power_weights, subset_product_sum
@@ -216,7 +215,7 @@ def _grid_tables(N):
     """The decay tables at alpha = 2 and 2.5, vartheta_N, the log-sine table
     and the omega table, which has negative entries."""
     return [fourier_decay_table(2.0, N), fourier_decay_table(2.5, N), vartheta_table(N),
-            kernel_table(N), _omega_table(N)]
+            kernel_table(N), omega_table(N)]
 
 
 @pytest.mark.parametrize("N", SUM_GRID_MODULI)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from latgen.kernel import (
     LN4,
@@ -160,3 +160,51 @@ def test_truncation_remainder_bound():
             dist = min(x, 1.0 - x)
             err = abs(log_inv_sin2(x) - LN4 - vartheta_truncated(x, N))
             assert err <= 1.0 / (N * dist) + 1e-12
+
+
+def _dft_naive(x, sign):
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[0]
+    j = np.arange(n)
+    mat = np.exp(sign * 2j * np.pi * np.outer(j, j) / n)
+    return mat @ x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16, 31, 61, 64, 100, 127])
+def test_cosine_dft_matches_naive_dft(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    tab = cosine_dft(x)
+    assert tab == pytest.approx(_dft_naive(x, -1).real, abs=1e-9)
+    assert tab == pytest.approx(_dft_naive(x, +1).real, abs=1e-9)
+    assert np.array_equal(tab[1:], tab[:0:-1])  # exact cosine symmetry
+
+
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=50, deadline=None)
+def test_cosine_dft_round_trip(n, seed):
+    # on a symmetric sequence the cosine transform is its own inverse up to 1/n
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x[1:] += x[1:][::-1]
+    back = cosine_dft(cosine_dft(x)) / n
+    assert back == pytest.approx(x, abs=1e-9)
+
+
+def test_cosine_dft_linearity_and_impulse():
+    n = 48
+    x = np.zeros(n)
+    x[0] = 1.0
+    assert cosine_dft(x) == pytest.approx(np.ones(n), abs=1e-12)
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    assert cosine_dft(a + 2.0 * b) == pytest.approx(
+        cosine_dft(a) + 2.0 * cosine_dft(b), abs=1e-10
+    )
+
+
+def test_cosine_dft_rejects_bad_input():
+    with pytest.raises(ValueError):
+        cosine_dft(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        cosine_dft([])
