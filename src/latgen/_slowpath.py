@@ -3,8 +3,10 @@
 latgen._kernels picks the C kernels or these at import time.
 
 product_sum is the twin of the product-weight lattice sum, and
-product_columns its loop over columns given as arrays, which also serves
-the moduli whose columns are gathers (see weights.subset_product_sum).
+product_columns its loop over columns given as lists of parts: one slice per
+block of the unit layout and one of its fixed residues
+(numtheory.ColumnSlices), or one gathered array for the moduli that have no
+such layout (see weights.subset_product_sum).
 
 cbc_step is the twin of one fast-CBC component (latgen.cbc.ScoringPlan.step):
 the update, through the plan's one reader of a rotation, ScoringPlan.column,
@@ -114,10 +116,12 @@ def product_columns(gammas, columns):
     """d[i] = prod_j (1 + gammas[j] col_j[i]) - 1, or None if columns is empty.
 
     columns yields, for j = 0, 1, ..., the parts of column j, which laid end
-    to end give its values in slot order. The product is accumulated as
-    prod - 1: d = gammas[0] col_0, then x = gammas[j] col_j and
-    d = d + x (1 + d), the operations of _dbd.c's product_sum in its order,
-    into three buffers allocated once, so the values are the same doubles.
+    to end give its values in slot order; each column is copied into one
+    buffer by one concatenate and scaled there by one multiply, however many
+    parts it has. The product is accumulated as prod - 1:
+    d = gammas[0] col_0, then x = gammas[j] col_j and d = d + x (1 + d), the
+    operations of _dbd.c's product_sum in its order, into three buffers
+    allocated once, so the values are the same doubles.
     """
     d = x = y = None
     for j, parts in enumerate(columns):
@@ -128,10 +132,8 @@ def product_columns(gammas, columns):
             size = sum(p.shape[0] for p in parts)
             d, x, y = np.empty(size), np.empty(size), np.empty(size)
         out = d if j == 0 else x
-        pos = 0
-        for p in parts:
-            np.multiply(g, p, out=out[pos : pos + p.shape[0]])
-            pos += p.shape[0]
+        np.concatenate(parts, out=out)
+        np.multiply(g, out, out=out)
         if j:
             np.add(1.0, d, out=y)
             np.multiply(x, y, out=x)

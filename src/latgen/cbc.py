@@ -32,7 +32,7 @@ natural order: q = p[natural] once (natural is UnitLayout.slot[1:]), and
 column(b)[natural], which is tab[k z mod N] for k = 1..N-1, per rescored
 candidate.
 
-- Long blocks (longer than numtheory.ROW_SPAN): the scores are a cyclic
+- Long blocks (longer than ROW_SPAN): the scores are a cyclic
   correlation, a convolution of the fold with the reversed kernel values
   a_0, a_(L-1), ..., a_1 on numpy.fft, whose output b is the score of
   rotation -b; the fold keeps the layout's order. For prime N the one block
@@ -43,9 +43,10 @@ candidate.
   such correlation of length N/2^(c+2); the level spectra are summed and
   inverted once, at length N/4.
 - Short blocks and the fixed slots (N/2, and N/4 folded with 3N/4): their
-  scores are one matrix-vector product with the row table of
-  numtheory.UnitColumns, which repeats with the longest short block, its
-  rows taken in the order of -b and without the column of residue 0. The
+  scores are one matrix-vector product with the plan's row table. Row b
+  holds each short block's kernel values rotated by -b, a slice of its
+  doubled values in numtheory.UnitColumns, then the fixed slots' values
+  but residue 0's; the table repeats with the longest short block. The
   compiled step sums each row in slot order; the twin's product is BLAS's.
   Prime N <= 127 and N = 2^n <= 256 have no long block and run no
   transform; N = 2 and 4 have no block at all, and their one candidate
@@ -81,6 +82,12 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+#: Blocks no longer than this are scored for every rotation from one table
+#: of rows instead of by a transform: at most ROW_SPAN rows of about
+#: 2 ROW_SPAN values, the many short levels of N = 2^n in one matrix-vector
+#: product.
+ROW_SPAN = 64
 
 
 def _gather_score(q: np.ndarray, plan: "ScoringPlan", b: int) -> float:
@@ -236,8 +243,10 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     values reversed, a_0, a_(L-1), ..., a_1; transform output b is then the
     score of rotation -b, and the candidates are listed in that order. The
     shorter blocks and the fixed residues other than 0 are scored by the
-    rows of UnitColumns, the table the lattice sums read, taken in the same
-    order. N = 2 and 4 have no block; their one candidate is z = 1.
+    row table built here in the same order: row b is each short block's
+    doubled values (UnitColumns.doubled) from -b mod L, then the fixed
+    residues' values. N = 2 and 4 have no block; their one candidate is
+    z = 1.
     """
     layout = unit_layout(N)
     cols = UnitColumns(layout, tab)
@@ -246,17 +255,22 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     top = layout.blocks[0] if layout.blocks else np.ones(1, dtype=np.int64)
     Q = top.shape[0]
     zr = top[-np.arange(Q) % Q]
+    long = [(doubled, L) for doubled, L in cols.doubled if L > ROW_SPAN]
+    short = cols.doubled[len(long) :]  # the blocks come longest first
     # a_0, a_(L-1), ..., a_1 per long block; N = 2^n: power-of-two lengths
-    spectra = [_spectrum(doubled[L:0:-1]) for doubled, L in cols.doubled]
+    spectra = [_spectrum(doubled[L:0:-1]) for doubled, L in long]
     levels = []
     start = 0  # the long blocks lead the layout
-    for (_, _, K, norm), (doubled, L) in zip(spectra, cols.doubled):
+    for (_, _, K, norm), (doubled, L) in zip(spectra, long):
         # every slot of a long block is a +- pair: the fold's factor 2, exact, goes into K
         levels.append(_Level(start=start, stop=start + L, values=doubled,
                              K=(2 * Q // L) * K, step=Q // L, kernel_norm=2 * norm))
         start += L
-    P = cols.rows.shape[0]
-    rows = cols.rows[-np.arange(P) % P, :-1]
+    P = short[0][1] if short else 1  # every shorter length divides it
+    b = np.arange(P)[:, None]
+    fixed = cols.tab[layout.fixed[:-1]]
+    rows = np.hstack([doubled[-b % L + np.arange(L)] for doubled, L in short]
+                     + [np.broadcast_to(fixed, (P, fixed.shape[0]))])
     size, offset = spectra[0][:2] if spectra else (0, 0)
     return ScoringPlan(z=np.minimum(zr, N - zr), natural=layout.slot[1:],
                        levels=tuple(levels), size=size, offset=offset, short=start,

@@ -81,11 +81,13 @@ def read_vector(path: str) -> GeneratingVector:
 def _resolve_modulus(args) -> int:
     if (args.n is None) == (args.N is None):
         raise ValueError("give exactly one of --n and --N")
+    if args.n is not None and args.n < 0:
+        raise ValueError("--n must be >= 0, got %d" % args.n)
     return 1 << args.n if args.n is not None else args.N
 
 
 def cmd_construct(args) -> int:
-    N = _resolve_modulus(args)
+    N = args.modulus = _resolve_modulus(args)
     v = construct(args.algo, N, args.s, parse_weight_spec(args.weights, args.s), args.alpha)
     write_vector(args.out, v)
     return 0
@@ -95,6 +97,7 @@ def cmd_construct(args) -> int:
 
 def cmd_error(args) -> int:
     v = read_vector(args.vector)
+    args.modulus = v.N
     check_modulus(v.N)
     w = parse_weight_spec(args.weights, v.s)
     w_eval = w
@@ -133,13 +136,16 @@ def cmd_error(args) -> int:
 def _sweep_moduli(args):
     if (args.n_range is None) == (args.prime_near_pow2 is None):
         raise ValueError("give exactly one of --n-range and --prime-near-pow2")
-    spec = args.n_range if args.n_range is not None else args.prime_near_pow2
+    flag, spec = (("--n-range", args.n_range) if args.n_range is not None
+                  else ("--prime-near-pow2", args.prime_near_pow2))
     try:
         lo, hi = (int(p) for p in spec.split(".."))
     except ValueError:
         raise ValueError("range must look like a..b, got %r" % (spec,))
     if hi < lo:
         raise ValueError("empty range %r" % (spec,))
+    if lo < 0:
+        raise ValueError("%s needs exponents >= 0, got %r" % (flag, spec))
     if args.n_range is not None:
         return [1 << n for n in range(lo, hi + 1)]
     return [prev_prime(1 << n) for n in range(lo, hi + 1)]
@@ -169,6 +175,7 @@ def cmd_sweep(args) -> int:
     if not alphas:
         raise ValueError("empty alpha list")
     moduli = _sweep_moduli(args)
+    args.modulus = max(moduli)
     jobs = [(args.algo, N, args.s, args.weights, alpha)
             for alpha in alphas for N in moduli]
     write_sweep_csv(args.out, _run_rows(jobs))
@@ -261,20 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _modulus_of(args):
-    """The modulus a command works at (a sweep's largest), or None."""
-    try:
-        if args.command == "construct":
-            return _resolve_modulus(args)
-        if args.command == "error":
-            return read_vector(args.vector).N
-        if args.command == "sweep":
-            return max(_sweep_moduli(args))
-    except (OSError, ValueError):
-        pass
-    return None
-
-
 def main(argv=None) -> int:
     ap = _build_parser()
     args = None
@@ -288,7 +281,8 @@ def main(argv=None) -> int:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 1
     except MemoryError:
-        N = None if args is None else _modulus_of(args)
+        # the modulus the command resolved before it ran out (a sweep's largest)
+        N = getattr(args, "modulus", None)
         print("error: not enough memory" + ("" if N is None else " for N = %d" % N),
               file=sys.stderr)
         return 2

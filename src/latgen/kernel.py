@@ -19,11 +19,15 @@ residue a = k z mod N, exactly symmetric (tab[a] == tab[N - a]). The log-sine
 tables, which are undefined at a = 0, store tab[0] = 0 there. vartheta_table
 and the Hurwitz fold of fourier_decay_table fold their series by residue
 class, and cosine_dft turns the fold into values, one numpy.fft transform.
+Each refuses N >= 2^31 (numtheory.check_modulus) before it allocates, so a
+library call at such a modulus fails as the CLI does, with a ValueError.
 """
 
 import math
 
 import numpy as np
+
+from .numtheory import check_modulus
 
 __all__ = [
     "LN4",
@@ -61,6 +65,7 @@ def kernel_table(N: int) -> np.ndarray:
     The symmetry tab[a] == tab[N - a] holds exactly as stored, which
     downstream code relies on (gather sums for z and N-z come out bit-equal).
     """
+    check_modulus(N)
     if N < 2:
         raise ValueError("need N >= 2")
     # -2 ln(sin(pi k / N)), k = 1..N-1, in one buffer: the operations of the
@@ -94,6 +99,7 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
     (N-res)^-alpha, so one length-N DFT produces every residue's value;
     tab[0] = 2 sum_{m=1}^{N-1} m^-alpha.
     """
+    check_modulus(N)
     if N < 2:
         raise ValueError("need N >= 2")
     if alpha < 1.0:
@@ -162,6 +168,7 @@ def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     so the result is far more accurate than plain truncation can reach. The
     fold needs N^alpha within double range: a larger alpha raises ValueError.
     """
+    check_modulus(N)
     _check_alpha(alpha)
     if alpha in _BERNOULLI_COEFFS:
         # (-1)^(alpha/2+1) (2 pi)^alpha B_alpha(a/N) / alpha!

@@ -12,13 +12,14 @@ rotated by b. For N = 2^n the residue k = 2^c k' (k' odd) sits in level c,
 whose odd part k' runs through the cosets +-5^i mod N/2^c; z = +-5^b rotates
 every level by b. The few residues no unit moves (N/2, N/4, 3N/4 for
 N = 2^n, and 0) come last, 0 the very last; a unit's rotation b is its slot.
-A lattice sum over k then reads each column as slices of one table, with no
-modular arithmetic and no gather per column; other moduli keep the natural
-order k = 0..N-1 and gather tab[k z mod N].
+UnitColumns stores a table's values on each block twice in a row and on the
+fixed residues once, so a lattice sum over k reads each column as one slice
+per block and the fixed slice, with no modular arithmetic and no gather per
+column; other moduli keep the natural order k = 0..N-1 and gather
+tab[k z mod N].
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Iterator, Tuple
 
@@ -175,15 +176,6 @@ def _powers(g: int, L: int, N: int) -> np.ndarray:
     return pw
 
 
-#: Blocks no longer than this are stored once per rotation, in a table of
-#: ROW_SPAN rows of about 2 ROW_SPAN values, so a column takes one slice per
-#: longer block and one row for all the rest: the many short levels of
-#: N = 2^n then cost no Python work per column. The fast CBC's compiled step
-#: (latgen.cbc) scores them for every rotation from that table, its counts
-#: folded in, instead of a transform, and updates them from one of its rows.
-ROW_SPAN = 64
-
-
 @dataclass(frozen=True)
 class UnitLayout:
     """The residues mod N in an order that every unit z merely rotates.
@@ -216,21 +208,6 @@ class UnitLayout:
         if tab.shape != (self.N,) or not np.array_equal(tab[1:], tab[:0:-1]):
             raise ValueError("tab must have length N and satisfy tab[a] == tab[N - a]")
         return tab
-
-    @cached_property
-    def row_residues(self) -> np.ndarray:
-        """The residues of UnitColumns' row table, read-only: row r holds each
-        block no longer than ROW_SPAN rotated by r, then the fixed residues.
-        Every table on this layout reads the same ones, so they are built
-        once per layout."""
-        short = [bl for bl in self.blocks if bl.shape[0] <= ROW_SPAN]
-        period = short[0].shape[0] if short else 1  # every shorter length divides it
-        r = np.arange(period)[:, None]
-        idx = [bl[(r + np.arange(bl.shape[0])) % bl.shape[0]] for bl in short]
-        idx.append(np.broadcast_to(self.fixed, (period, self.fixed.shape[0])))
-        idx = np.hstack(idx)
-        idx.flags.writeable = False
-        return idx
 
 
 def unit_layout(N: int) -> UnitLayout:
@@ -269,7 +246,7 @@ class ColumnSlices:
     class: a dataclass would cost about 1 ms of every import.)
     """
 
-    __slots__ = ("buf", "offsets", "lengths")
+    __slots__ = ("buf", "offsets", "lengths", "_spans")
 
     def __init__(self, buf, offsets, lengths):
         self.buf = np.ascontiguousarray(buf, dtype=np.float64)
@@ -281,6 +258,7 @@ class ColumnSlices:
         if (lengths.size and lengths.min() < 0) or (offsets.size and (
                 offsets.min() < 0 or (offsets + lengths).max() > self.buf.shape[0])):
             raise ValueError("every slice must lie inside buf")
+        self._spans = lengths.tolist()  # read by parts for every column
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -296,45 +274,41 @@ class ColumnSlices:
 
     def parts(self, j: int):
         """The slices of column j, in slot order (views of buf)."""
-        return [self.buf[o : o + L]
-                for o, L in zip(self.offsets[j].tolist(), self.lengths.tolist())]
+        return [self.buf[o : o + L] for o, L in zip(self.offsets[j].tolist(), self._spans)]
 
 
 class UnitColumns:
     """The columns tab[k z mod N] of one table for the units z, in slot order.
 
-    tab is residue-indexed and exactly symmetric (UnitLayout.check_table). A
-    block longer than ROW_SPAN is stored twice in a row (doubled), so the
-    values that a rotation by r meets are one slice of it. The shorter blocks
-    and the fixed slots are stored once per rotation, as the rows of one
-    table (rows). All of them are views of one contiguous buffer. A unit z
-    rotates every block by r = layout.slot[z], and columns(zs) reads the
-    values at those rotations as ColumnSlices: of each long block's doubled
-    values the slice from r mod L, then row r mod P of the row table. The
-    fast CBC's plan (latgen.cbc.ScoringPlan.column) reads the same slices.
+    tab is residue-indexed and exactly symmetric (UnitLayout.check_table).
+    Every block is stored twice in a row (doubled), so the values that a
+    rotation by r meets are one slice of it; the fixed slots, which no unit
+    moves, follow once. All of them are views of one contiguous buffer. A
+    unit z rotates every block by r = layout.slot[z], and columns(zs) reads
+    the values at those rotations as ColumnSlices: of each block's doubled
+    values the slice from r mod L, then the fixed slots. The fast CBC's plan
+    (latgen.cbc.scoring_plan) takes its kernel values from doubled.
     """
 
     def __init__(self, layout: UnitLayout, tab):
         self.layout = layout
         self.tab = tab = layout.check_table(tab)
-        self.doubled, self.rows = [], None
+        self.doubled = []
         if not layout.cyclic:
             return
-        long = [bl for bl in layout.blocks if bl.shape[0] > ROW_SPAN]
-        idx = layout.row_residues
-        lengths = [bl.shape[0] for bl in long] + [idx.shape[1]]
-        starts = np.cumsum([0] + [2 * L for L in lengths[:-1]])
-        self.buf = np.empty(int(starts[-1]) + idx.size)
-        for bl, start in zip(long, starts.tolist()):
+        lengths = [bl.shape[0] for bl in layout.blocks]
+        starts = np.cumsum([0] + [2 * L for L in lengths])
+        self.buf = np.empty(int(starts[-1]) + layout.fixed.shape[0])
+        for bl, start in zip(layout.blocks, starts.tolist()):
             L = bl.shape[0]
             tt = self.buf[start : start + 2 * L]
             np.take(tab, bl, out=tt[:L])
             tt[L:] = tt[:L]
             self.doubled.append((tt, L))
-        self.rows = self.buf[int(starts[-1]) :].reshape(idx.shape)
-        np.take(tab, idx, out=self.rows)
+        np.take(tab, layout.fixed, out=self.buf[int(starts[-1]) :])
         self._starts = starts
-        self._lengths = np.array(lengths, dtype=np.int64)
+        self._lengths = np.array(lengths + [layout.fixed.shape[0]], dtype=np.int64)
+        self._periods = np.array(lengths + [1], dtype=np.int64)  # the fixed slots never move
 
     def columns(self, zs):
         """The columns for the units zs: ColumnSlices of the buffer when the
@@ -346,9 +320,5 @@ class UnitColumns:
         bad = np.flatnonzero(np.gcd(zs, lay.N) != 1)
         if bad.size:
             raise ValueError("z = %d is not a unit mod %d" % (zs[bad[0]], lay.N))
-        r = lay.slot[zs][:, None]  # r mod L of each long block, then row r mod P
-        L = self._lengths
-        offsets = np.empty((r.shape[0], L.shape[0]), dtype=np.int64)
-        offsets[:, :-1] = self._starts[:-1] + r % L[:-1]
-        offsets[:, -1:] = self._starts[-1] + (r % self.rows.shape[0]) * L[-1]
-        return ColumnSlices(self.buf, offsets, L)
+        offsets = self._starts + lay.slot[zs][:, None] % self._periods
+        return ColumnSlices(self.buf, offsets, self._lengths)

@@ -7,6 +7,7 @@ import pytest
 
 from latgen import _kernels, cbc
 from latgen.cbc import (
+    ROW_SPAN,
     _cbc_greedy,
     _gather_score,
     _spectrum,
@@ -16,7 +17,7 @@ from latgen.cbc import (
 )
 from latgen.error import V_quality, wce_product
 from latgen.kernel import fourier_decay_table, omega_table
-from latgen.numtheory import ROW_SPAN, GeneratingVector, primitive_root, unit_layout
+from latgen.numtheory import GeneratingVector, primitive_root, unit_layout
 from latgen.oracles import cbc_naive, omega
 from latgen.weights import GeneralWeights, ProductWeights, power_weights
 

@@ -18,7 +18,7 @@ from latgen.cli import (
     read_vector,
     write_vector,
 )
-from latgen.error import wce_product
+from latgen.error import bound_thm_cbc, wce_product
 from latgen.numtheory import GeneratingVector
 from latgen.sweep import CSV_HEADER, fmt, sweep_row
 from latgen.weights import GeneralWeights, ProductWeights, power_weights
@@ -106,6 +106,23 @@ def test_error_with_T_and_bounds(tmp_path, capsys):
     assert report["T"] <= report["bound_cbcdbd"]
 
 
+def test_error_with_bounds_off_powers_of_two(tmp_path, capsys):
+    """A prime N reports the whole-component CBC bound; a modulus neither
+    prime nor 2^n has no bound and exits 2."""
+    vec = str(tmp_path / "v.txt")
+    write_vector(vec, construct_korobov_cbc(61, 4, W10))
+    assert main(["error", "--vector", vec, "--alpha", "2", "--weights", "product:1/j^2",
+                 "--with-bounds", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"N", "s", "alpha", "wce", "bound_cbc"}
+    assert report["bound_cbc"] == bound_thm_cbc(61, W10, 4)
+    write_vector(vec, GeneratingVector(12, (1, 5)))
+    assert main(["error", "--vector", vec, "--alpha", "2", "--weights", "product:1/j^2",
+                 "--with-bounds"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bounds available only for N prime or N = 2^n\n")
+
+
 def test_error_csv_format(tmp_path, capsys):
     vec = str(tmp_path / "v.txt")
     main(["construct", "--algo", "std-cbc", "--N", "16", "--s", "2",
@@ -138,6 +155,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["construct", "--algo", "cbc-dbd", "--N", "1", "--s", "2",
                  "--weights", "product:1/j^2", "--out", vec]) == 2
     assert capsys.readouterr().err == "error: cbc-dbd requires N = 2^n with n >= 1\n"
+    # negative exponents are refused by name, not by the shift that would fail
+    assert main(["construct", "--algo", "cbc-dbd", "--n=-3", "--s", "2",
+                 "--weights", "product:1/j^2", "--out", vec]) == 2
+    assert capsys.readouterr().err == "error: --n must be >= 0, got -3\n"
+    assert main(["sweep", "--algo", "cbc-dbd", "--weights", "product:1/j^2",
+                 "--alpha-list", "2", "--s", "2", "--n-range=-1..2",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == "error: --n-range needs exponents >= 0, got '-1..2'\n"
+    assert not os.path.exists(vec) and not (tmp_path / "s.csv").exists()
 
 
 def _outcome(argv, capsys, out):
@@ -307,10 +333,14 @@ def test_running_out_of_memory_exits_2(tmp_path):
     vec = str(tmp_path / "v.txt")
     write_vector(vec, GeneratingVector(1 << 30, (1, 3)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("LATGEN_THREADS", None)
     for argv, N in ((["construct", "--algo", "cbc-dbd", "--n", "29", "--s", "3",
                       "--weights", "product:1/j^2", "--out", str(tmp_path / "w.txt")], 1 << 29),
                     (["error", "--vector", vec, "--alpha", "2",
-                      "--weights", "product:1/j^2"], 1 << 30)):
+                      "--weights", "product:1/j^2"], 1 << 30),
+                    (["sweep", "--algo", "cbc-dbd", "--weights", "product:1/j^2",
+                      "--alpha-list", "2", "--s", "3", "--n-range", "29..29",
+                      "--out", str(tmp_path / "s.csv")], 1 << 29)):
         out = subprocess.run([sys.executable, "-m", "latgen.cli", *argv], capture_output=True,
                              text=True, env=env, preexec_fn=cap, timeout=120)
         assert out.returncode == 2, out.stderr

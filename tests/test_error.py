@@ -201,9 +201,9 @@ def _plain_product_sum(w, columns):
     return 0.0 if d is None else math.fsum(memoryview(d))
 
 
-# Primes; 2^n with no block longer than ROW_SPAN (n <= 8), so that a column is
-# one row, and with one or more (n = 9, 12, 16); composites, whose columns are
-# gathers.
+# Primes; 2^n with no block longer than the fast CBC's ROW_SPAN (n <= 8) and
+# with one or more (n = 9, 12, 16), whose columns take one slice per block and
+# one of the fixed slots; composites, whose columns are gathers.
 SUM_GRID_MODULI = [3, 61, 127, 131, 257, 16381, 2, 4, 8, 16, 256, 512, 4096, 1 << 16,
                    6, 12, 100]
 # 0.5^j drives d below machine epsilon after a few coordinates.

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,3 +211,43 @@ def test_cosine_dft_rejects_bad_input():
         cosine_dft(np.ones((2, 2)))
     with pytest.raises(ValueError):
         cosine_dft([])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps the address space only on Linux")
+def test_library_refuses_huge_moduli_before_allocating():
+    """Every table refuses N >= 2^31 before it allocates, so the quality sums
+    and the constructions do too: under a 2 GiB address-space limit each
+    call raises the modulus ValueError, not a MemoryError."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+    script = """
+from latgen.cbc import construct_korobov_cbc, construct_standard_cbc
+from latgen.cbc_dbd import construct_cbc_dbd
+from latgen.error import H_quantity, T_quantity, V_quality, wce_product
+from latgen.numtheory import GeneratingVector
+from latgen.weights import ProductWeights
+
+w = ProductWeights((1.0, 0.25))
+v = GeneratingVector(2**33, (1, 3))
+calls = [lambda: wce_product(v, 2.0, w), lambda: T_quantity(v, w),
+         lambda: H_quantity(v, w), lambda: V_quality(v, w),
+         lambda: construct_cbc_dbd(33, 2, w), lambda: construct_standard_cbc(2**33, 2, 2.0, w),
+         lambda: construct_korobov_cbc(2147483659, 2, w)]
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+    else:
+        print("no error")
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, preexec_fn=cap, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 7 and all("need N < 2^31" in ln for ln in lines), lines

@@ -112,6 +112,9 @@ def test_unit_layout_rotates_for_every_unit(N):
     assert np.array_equal(lay.slot[res], slots) and np.array_equal(lay.slot[(N - res) % N], slots)
     tab = _symmetric_table(N)
     cols = UnitColumns(lay, tab)
+    # one slice per block, then one of the fixed residues
+    assert cols.columns([1]).lengths.tolist() == [bl.shape[0] for bl in lay.blocks] + [
+        lay.fixed.shape[0]]
     for z in range(1, N):
         if gcd(z, N) == 1:
             assert np.array_equal(next(iter(cols.columns([z]))), tab[res * z % N])
