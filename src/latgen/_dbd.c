@@ -10,7 +10,9 @@
  * q(t, k) == q(t, -k) bit for bit and N/2 - 1 slots hold all of it.
  * K[2 (L_t - 1) + i] is the log-sine table at the residue
  * (5^i mod 2^t) 2^(n-t), stored twice in a row, so that the values a unit
- * +-5^c meets are the slice starting at c.
+ * +-5^c meets are the slice starting at c. That is unit_layout's order:
+ * level t >= 3 is block n - t of numtheory.unit_layout(2^n), whose doubled
+ * values numtheory.UnitColumns holds, and level 2 its fixed residue N/4.
  *
  * At the start of each component the slots are folded into the level sums
  *   P_v[i] = sum_{t=v..n} 2^(v-t) sum_{odd j < 2^t, j = k mod 2^v} q(t, j)

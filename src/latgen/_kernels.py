@@ -11,7 +11,9 @@ of them can load a half-written file.
 
 The library holds three functions. dbd_construct builds the CBC-DBD
 components from the log-sine table and returns those it could build (see
-latgen._slowpath.dbd_construct, its twin). product_sum computes the
+latgen._slowpath.dbd_construct, its twin, which reads its levels from
+numtheory.unit_layout and UnitColumns; the C kernel lays them out in the
+same order). product_sum computes the
 per-slot values prod_j (1 + gamma_j col_j) - 1 of a product-weight lattice
 sum whose columns are slices of one buffer (numtheory.ColumnSlices), the
 product branch of weights.subset_product_sum (see
@@ -25,7 +27,9 @@ written, no compiler is found, or the compile fails. dbd_construct and
 product_sum give the same doubles on both, and so does cbc_step's update;
 its short-tail scores are a fixed-order dot in C and a BLAS product in
 numpy, so the scores and the bound may differ in their last bits, and
-either near set holds the exact gather sum's choice. BACKEND is "c" or
+either near set holds the exact gather sum's choice. The bound's norms sum
+their squares without BLAS on both (a loop in C, _slowpath.norm in numpy),
+so they do not follow the BLAS thread count. BACKEND is "c" or
 "numpy"; BACKEND_REASON says which library was loaded or why the fallback
 was chosen.
 """

@@ -10,40 +10,31 @@ such layout (see weights.subset_product_sum).
 
 cbc_step is the twin of one fast-CBC component (latgen.cbc.ScoringPlan.step):
 the update, through the plan's one reader of a rotation, ScoringPlan.column,
-then the short tail's scores, the rounding bound and the near set.
+then the short tail's scores, the rounding bound and the near set. norm is
+the one 2-norm of that bound, of the plan's kernel norms and row norm as
+well as of the step's states; it sums without BLAS.
 
 dbd_construct is the twin of the CBC-DBD construction. Both keep the state on
 the unit layout of N = 2^n (numtheory.unit_layout): the odd residues mod 2^t
 are +-5^i, i < L_t = 2^(t-2), and level t = 2..n holds one slot per +- pair,
-q[t-2][i] = q(r-1, t, 5^i mod 2^t). The kernel table is exactly symmetric, so
-q(t, k) == q(t, -k) bit for bit and N/2 - 1 slots hold the whole state.
-Every fold, score and update then reads contiguous slices (see dbd_fold and
-dbd_construct). Every kernel table here is kernel.kernel_table(2^n), indexed
-by residue.
+q[t-2][i] = q(r-1, t, 5^i mod 2^t). Level t >= 3 is block n - t of the
+layout, and its kernel values are that block's doubled values in
+numtheory.UnitColumns; level 2 is the layout's fixed residue N/4. The order
+lives in numtheory alone; _dbd.c mirrors it. The kernel table is exactly
+symmetric, so q(t, k) == q(t, -k) bit for bit and N/2 - 1 slots hold the
+whole state. Every fold, score and update then reads contiguous slices (see
+dbd_fold and dbd_construct). Every kernel table here is
+kernel.kernel_table(2^n), indexed by residue.
 """
 
 import math
 
 import numpy as np
 
-from .numtheory import unit_layout
+from .numtheory import UnitColumns, unit_layout
 
-#: Below this, a @ a may have lost terms to underflow.
+#: Below this, a sum of squares may have lost terms to underflow.
 _TINY = 2.0**-900
-
-
-def level_tables(ktab, n):
-    """The residues and kernel values of levels v = 2..n, at index v - 2.
-
-    res[v-2][i] = (5^i mod 2^v) 2^(n-v) for i < 2^(v-2), the block n - v of
-    unit_layout(2^n) (level 2 is its fixed slot N/4, the second of N/2, N/4,
-    0), and K[v-2] is ktab at those residues, stored twice in a row: the
-    values that a unit x = +-5^c mod 2^v meets on the level's slots are
-    K[v-2][c : c + 2^(v-2)].
-    """
-    lay = unit_layout(1 << n)
-    res = [lay.fixed[1:2]] + [lay.blocks[n - v] for v in range(3, n + 1)]
-    return res, [np.tile(ktab[r], 2) for r in res]
 
 
 def dbd_fold(q, P):
@@ -83,8 +74,13 @@ def dbd_construct(ktab, n, gamma1, gammas, rtol):
     components built: all of them, or those before the first whose s0 or dd
     is not finite.
     """
-    res, K = level_tables(ktab, n)
-    q = [1.0 + gamma1 * Kv[: Kv.shape[0] // 2] for Kv in K]
+    lay = unit_layout(1 << n)
+    cols = UnitColumns(lay, ktab)
+    # level v = 2..n at index v - 2: the fixed residue N/4, then block n - v,
+    # whose values a unit +-5^c meets are its doubled values from c on
+    res = [lay.fixed[1:2], *lay.blocks[::-1]]
+    K = [cols.tab[res[0]], *(d for d, _ in cols.doubled[::-1])]
+    q = [1.0 + gamma1 * Kv[: r.shape[0]] for r, Kv in zip(res, K)]
     P = [None] * len(q)
     z = []
     # a state that leaves double range is reported by the caller
@@ -150,10 +146,14 @@ def product_sum(gammas, cols):
 
 
 def norm(a: np.ndarray) -> float:
-    """||a||_2, also where a @ a leaves double range: a is then scaled by a
-    power of two, which is exact, so every norm that a @ a gives as it is
-    comes out the same. A norm beyond double range is inf."""
-    ss = float(a @ a)
+    """||a||_2. The squares, a new contiguous array, are summed by numpy's
+    pairwise add.reduce, in an order that its source fixes, and not by
+    BLAS, whose order follows its thread count; every norm of the fast
+    CBC's rounding bound comes from here. Where the sum leaves double
+    range, a is scaled by a power of two, which is exact, so every norm that
+    the sum gives as it is comes out the same. A norm beyond double range is
+    inf."""
+    ss = float(np.add.reduce(a * a))
     if _TINY < ss < math.inf:
         return math.sqrt(ss)
     top = float(np.abs(a).max(initial=0.0))
@@ -162,7 +162,7 @@ def norm(a: np.ndarray) -> float:
     e = math.frexp(top)[1]
     b = np.ldexp(a, -e)
     try:
-        return math.ldexp(math.sqrt(float(b @ b)), e)
+        return math.ldexp(math.sqrt(float(np.add.reduce(b * b))), e)
     except OverflowError:
         return math.inf
 
@@ -172,7 +172,7 @@ def cbc_step(st, b, gamma, score):
     0 <= b < len(st.sc), first st.p *= 1 + gamma * st.plan.column(b), the
     same elementwise operations as the compiled step's update; b = -1 leaves
     st.p as it is. Then, if score is true, the short tail's scores
-    st.ct.T @ p[short:] are added to the transform's scores in st.sc
+    p[short:] @ st.ct are added to the transform's scores in st.sc
     (written there when the plan has no long level), the rounding bound
     goes to st.bound[0] and the near set, the candidates within twice the
     bound of the least score, to st.near. Returns the size of the near set;
@@ -192,7 +192,7 @@ def cbc_step(st, b, gamma, score):
             weight += norm(p[lv.start : lv.stop]) * lv.kernel_norm
         bound = st.tfactor * weight
     if ps.shape[0]:
-        part = st.ct.T @ ps
+        part = ps @ st.ct  # the dgemv of st.ct.T @ ps, without the transposed view
         if plan.levels:
             sc.reshape(-1, part.shape[0])[...] += part
         else:
@@ -202,6 +202,6 @@ def cbc_step(st, b, gamma, score):
     lo = float(sc[sc.argmin()])  # the first NaN, if there is one
     if not math.isfinite(lo):
         return 0
-    near = np.flatnonzero(sc <= lo + 2.0 * bound)
+    near = (sc <= lo + 2.0 * bound).nonzero()[0]
     st.near[: near.shape[0]] = near
     return near.shape[0]

@@ -53,7 +53,9 @@ candidate.
   z = 1 is scored by the fixed slots alone.
 
 Each score vector comes with a bound on its rounding error, the transforms'
-plus the dot products', in whatever order either is summed. A lone
+plus the dot products', in whatever order either is summed. Every norm in
+it is _slowpath.norm's (or the compiled step's loop), none a BLAS dot, so
+the bound does not follow the BLAS thread count. A lone
 candidate within twice that bound of the
 minimum is the exact gather sum's choice and is taken as it is; when several
 are, each is rescored with the exact gather sum, and the smallest z wins
@@ -72,6 +74,7 @@ from typing import Tuple
 import numpy as np
 
 from . import _kernels
+from ._slowpath import norm
 from .kernel import fourier_decay_table, omega_table
 from .numtheory import GeneratingVector, UnitColumns, is_prime, unit_layout
 from .weights import ProductWeights
@@ -100,18 +103,17 @@ def _spectrum(b: np.ndarray):
     """(size, offset, K, norm) for cyclic convolution with a fixed real b of
     length n: c_k = sum_j a_j b_((k-j) mod n) is
     irfft(rfft(a, size) * K, size)[offset : offset + n], and norm is the 2-norm
-    of what was transformed. A power-of-two n multiplies length-n spectra.
+    of what was transformed (_slowpath.norm, the bound's one norm). A
+    power-of-two n multiplies length-n spectra.
     Any other n takes the linear convolution of a with two periods of b,
     zero-padded to a power of two size >= 2n, and reads c at n..2n-1, so
     numpy.fft never meets a length with large prime factors."""
     n = b.shape[0]
+    size, offset = n, 0
     if n & (n - 1):
         b = np.concatenate([b, b])
         size, offset = 1 << (2 * n - 1).bit_length(), n
-    else:
-        b = np.ascontiguousarray(b)  # so b @ b is the dot np.linalg.norm(b) takes
-        size, offset = n, 0
-    return size, offset, np.fft.rfft(b, size), math.sqrt(float(b @ b))
+    return size, offset, np.fft.rfft(b, size), norm(b)
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,7 @@ class ScoringPlan:
     short: int  # p[short:] are the short blocks' slots and the fixed ones
     short_counts: np.ndarray  # residues per slot of p[short:]
     rows: np.ndarray  # rows[b] @ (p[short:] * short_counts) is their score at rotation b
-    row_norm: float  # max_b ||rows[b]||_2
+    row_norm: float  # ||rows[0]||_2: each row is a rotation of the first, block by block
 
     def column(self, b: int) -> np.ndarray:
         """tab[a z mod N] at each slot's residue a, for z = z[b], which
@@ -211,7 +213,8 @@ class _StepState:
     the m-term dot product in any summation order and the addition to the
     transform's score leave each entry within gamma_(m+2) sum_i |r_i f_i| of
     exact, and gamma_(m+2) <= (m + 1) eps = sfactor; Cauchy-Schwarz caps the
-    sum by ||rows[b]||_2 ||fs||_2.
+    sum by ||rows[b]||_2 ||fs||_2, and every row has the first one's norm,
+    row_norm.
     """
 
     __slots__ = ("plan", "p", "sc", "near", "bound", "part", "ct", "tfactor", "sfactor",
@@ -261,10 +264,10 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     spectra = [_spectrum(doubled[L:0:-1]) for doubled, L in long]
     levels = []
     start = 0  # the long blocks lead the layout
-    for (_, _, K, norm), (doubled, L) in zip(spectra, long):
+    for (_, _, K, kn), (doubled, L) in zip(spectra, long):
         # every slot of a long block is a +- pair: the fold's factor 2, exact, goes into K
         levels.append(_Level(start=start, stop=start + L, values=doubled,
-                             K=(2 * Q // L) * K, step=Q // L, kernel_norm=2 * norm))
+                             K=(2 * Q // L) * K, step=Q // L, kernel_norm=2 * kn))
         start += L
     P = short[0][1] if short else 1  # every shorter length divides it
     b = np.arange(P)[:, None]
@@ -275,7 +278,7 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     return ScoringPlan(z=np.minimum(zr, N - zr), natural=layout.slot[1:],
                        levels=tuple(levels), size=size, offset=offset, short=start,
                        short_counts=layout.counts[start:-1], rows=rows,
-                       row_norm=float(np.sqrt((rows * rows).sum(axis=1)).max()))
+                       row_norm=norm(rows[0]))
 
 
 def _rescore(plan: ScoringPlan, p: np.ndarray, near: np.ndarray):

@@ -4,8 +4,9 @@ Each component z_r is built one bit at a time, least significant bit first.
 The bit at level v is chosen to minimize the digit-wise quality h over the
 running products q(t, k), odd k < 2^t. construct_cbc_dbd keeps them on the
 unit layout of N (numtheory.unit_layout): level t holds one slot per +- pair
-of residues, in the order 5^i mod 2^t, so a candidate unit +-5^c only
-rotates the level's kernel values. Once per component, in O(N), the slots
+of residues, in the order 5^i mod 2^t (block n - t of the layout, and its
+fixed residue N/4 for t = 2), so a candidate unit +-5^c only rotates the
+level's kernel values. Once per component, in O(N), the slots
 are folded into per-level sums, after which one bit costs O(2^(v-2))
 contiguous reads, so a component costs O(N) and the whole vector O(s N)
 (latgen._slowpath has the details, _dbd.c the compiled twin). For product

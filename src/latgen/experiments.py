@@ -186,9 +186,10 @@ def _run_figure(cfg: ExperimentConfig, out_dir: str):
     return checks
 
 
-def _median_construct_seconds(n: int, s: int, w: ProductWeights, repeats: int = 3):
+def _median_construct_seconds(n: int, s: int, w: ProductWeights):
+    """The median time of three CBC-DBD constructions."""
     times = []
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         construct_cbc_dbd(n, s, w)
         times.append(time.perf_counter() - t0)

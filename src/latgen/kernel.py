@@ -19,8 +19,9 @@ residue a = k z mod N, exactly symmetric (tab[a] == tab[N - a]). The log-sine
 tables, which are undefined at a = 0, store tab[0] = 0 there. vartheta_table
 and the Hurwitz fold of fourier_decay_table fold their series by residue
 class, and cosine_dft turns the fold into values, one numpy.fft transform.
-Each refuses N >= 2^31 (numtheory.check_modulus) before it allocates, so a
-library call at such a modulus fails as the CLI does, with a ValueError.
+Each refuses N < 2, and N >= 2^31 (numtheory.check_modulus) before it
+allocates, so a library call at such a modulus fails as the CLI does, with
+a ValueError.
 """
 
 import math
@@ -59,15 +60,21 @@ def cosine_dft(c) -> np.ndarray:
     return tab
 
 
+def _check_table_modulus(N: int):
+    """Refuse a modulus that has no table, N < 2, or one too large for any
+    (numtheory.check_modulus), before anything is allocated."""
+    check_modulus(N)
+    if N < 2:
+        raise ValueError("need N >= 2")
+
+
 def kernel_table(N: int) -> np.ndarray:
     """tab[a] = ln(1/sin^2(pi a / N)) for a = 1..N-1, indexed by residue, tab[0] = 0.
 
     The symmetry tab[a] == tab[N - a] holds exactly as stored, which
     downstream code relies on (gather sums for z and N-z come out bit-equal).
     """
-    check_modulus(N)
-    if N < 2:
-        raise ValueError("need N >= 2")
+    _check_table_modulus(N)
     # -2 ln(sin(pi k / N)), k = 1..N-1, in one buffer: the operations of the
     # expression in its order, without a temporary per step.
     vals = np.arange(1, N, dtype=np.float64)
@@ -99,9 +106,7 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
     (N-res)^-alpha, so one length-N DFT produces every residue's value;
     tab[0] = 2 sum_{m=1}^{N-1} m^-alpha.
     """
-    check_modulus(N)
-    if N < 2:
-        raise ValueError("need N >= 2")
+    _check_table_modulus(N)
     if alpha < 1.0:
         raise ValueError("requires alpha >= 1")
     p = np.arange(1, N, dtype=float) ** (-alpha)
@@ -168,7 +173,7 @@ def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     so the result is far more accurate than plain truncation can reach. The
     fold needs N^alpha within double range: a larger alpha raises ValueError.
     """
-    check_modulus(N)
+    _check_table_modulus(N)
     _check_alpha(alpha)
     if alpha in _BERNOULLI_COEFFS:
         # (-1)^(alpha/2+1) (2 pi)^alpha B_alpha(a/N) / alpha!

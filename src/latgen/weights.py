@@ -78,14 +78,13 @@ class GeneralWeights:
                              "subset of {1..%d}" % (set(missing), self.s))
 
     @classmethod
-    def from_product(cls, w: ProductWeights, s: int = None) -> "GeneralWeights":
-        s = w.s if s is None else s
+    def from_product(cls, w: ProductWeights) -> "GeneralWeights":
         table = {}
-        coords = range(1, s + 1)
-        for size in range(s + 1):
+        coords = range(1, w.s + 1)
+        for size in range(w.s + 1):
             for u in combinations(coords, size):
                 table[frozenset(u)] = math.prod(w.gamma(j) for j in u)
-        return cls(s, table)
+        return cls(w.s, table)
 
     def gamma(self, u) -> float:
         u = frozenset(u)

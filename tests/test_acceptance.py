@@ -21,7 +21,7 @@ from latgen.error import (
     wce_product,
 )
 from latgen.kernel import LN4, fourier_decay_table, kernel_table, omega_table, vartheta_table
-from latgen.numtheory import GeneratingVector, gcd, is_prime
+from latgen.numtheory import GeneratingVector, UnitColumns, gcd, is_prime, unit_layout
 from latgen.oracles import (
     cbc_naive,
     fourier_decay_sum,
@@ -86,9 +86,10 @@ def _c_constant(n, v):
 
 
 def test_criterion_01_dbd_quality_oracle():
-    """Replay construct_cbc_dbd's own vector on the state it keeps: fold the
-    slots once per component, score both bits of every level from the slice
-    of the doubled kernel values that the candidate meets, and check twice
+    """Replay construct_cbc_dbd's own vector on the state it keeps, read
+    from the unit layout of 2^n: fold the slots once per component, score
+    both bits of every level from the slice of the block's doubled kernel
+    values (UnitColumns.doubled) that the candidate meets, and check twice
     each score (one slot per +- pair) plus the constant against the subset
     sum h_naive, and the construction's bit against the other one. The
     weights (1, 1/4, 1/9) at n = 4, s = 3 are the first three of 1/j^2, and
@@ -100,9 +101,13 @@ def test_criterion_01_dbd_quality_oracle():
     w = WEIGHT_FAMILIES["1/j^2"](6)
     for n in range(2, 9):
         z = construct_cbc_dbd(n, 6, w).z
-        ktab = kernel_table(1 << n)
-        res, K = _slowpath.level_tables(ktab, n)
-        q = [1.0 + w.gamma(1) * Kv[: Kv.shape[0] // 2] for Kv in K]
+        lay = unit_layout(1 << n)
+        cols = UnitColumns(lay, kernel_table(1 << n))
+        # level v at index v - 2: the fixed residue N/4, then block n - v of
+        # the layout, whose values a unit +-5^c meets are its doubled values from c on
+        res = [lay.fixed[1:2], *lay.blocks[::-1]]
+        K = [cols.tab[res[0]], *(d for d, _ in cols.doubled[::-1])]
+        q = [1.0 + w.gamma(1) * Kv[: r.shape[0]] for r, Kv in zip(res, K)]
         P = [None] * len(q)
         for r in range(2, 7):
             gamma = w.gamma(r)

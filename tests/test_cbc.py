@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latgen
 from latgen import _kernels, cbc
 from latgen.cbc import (
     ROW_SPAN,
@@ -469,3 +473,32 @@ def test_construct_rejects_bad_args():
 def test_pow2_candidates_are_odd():
     v = construct_standard_cbc(64, 6, 2.0, W)
     assert all(z % 2 == 1 for z in v.z)
+
+
+_NORM_DUMP = """
+from latgen.cbc import scoring_plan
+from latgen.kernel import fourier_decay_table, kernel_table, omega_table
+for N, tab in ((16381, fourier_decay_table(3.0, 16381)), (16381, omega_table(16381)),
+               (1 << 16, fourier_decay_table(2.0, 1 << 16)), (1 << 16, kernel_table(1 << 16))):
+    plan = scoring_plan(N, tab)
+    print(N, *[lv.kernel_norm.hex() for lv in plan.levels], plan.row_norm.hex())
+"""
+
+
+def test_bound_norms_do_not_follow_the_blas_thread_count():
+    """Every norm of the rounding bound, the long levels' kernel norms and
+    the row table's, sums its squares without BLAS, so one and two BLAS
+    threads give the same doubles, and with them the same near sets. The
+    dumps cover a prime N whose one long block takes a padded transform and
+    a power of two with many long levels."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latgen.__file__)))
+    dumps = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", _NORM_DUMP], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        dumps.append(out.stdout.splitlines())
+    assert len(dumps[0]) == 4 and [len(d.split()) for d in dumps[0]] == [3, 3, 10, 10]
+    assert dumps[0] == dumps[1]

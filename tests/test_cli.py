@@ -164,6 +164,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err == "error: --n-range needs exponents >= 0, got '-1..2'\n"
     assert not os.path.exists(vec) and not (tmp_path / "s.csv").exists()
+    # each further input exits 2 with exactly its one line and writes nothing
+    general = tmp_path / "g.txt"
+    general.write_text("1 0.5\n2 0.25\n1,2 0.1\n")
+    good, headless = str(tmp_path / "good.txt"), str(tmp_path / "headless.txt")
+    write_vector(good, GeneratingVector(16, (1, 3)))
+    with open(headless, "w") as fh:
+        fh.write("# latgen v1\ns=2\n1 1\n2 3\n")
+    sweep = ["sweep", "--algo", "cbc-dbd", "--weights", "product:1/j^2", "--s", "2",
+             "--out", str(tmp_path / "s.csv")]
+    error = ["error", "--alpha", "2", "--weights", "product:1/j^2"]
+    cases = [
+        (sweep + ["--alpha-list", "2", "--n-range", "2..3", "--prime-near-pow2", "2..3"],
+         "give exactly one of --n-range and --prime-near-pow2"),
+        (sweep + ["--alpha-list", "2"], "give exactly one of --n-range and --prime-near-pow2"),
+        (sweep + ["--alpha-list", "2", "--n-range", "3-5"], "range must look like a..b, got '3-5'"),
+        (sweep + ["--alpha-list", "2", "--n-range", "5..3"], "empty range '5..3'"),
+        (sweep + ["--alpha-list", ",", "--n-range", "2..3"], "empty alpha list"),
+        (["construct", "--algo", "cbc-dbd", "--n", "4", "--s", "2",
+          "--weights", "general:%s" % general, "--out", vec],
+         "cbc-dbd requires product weights"),
+        (["error", "--vector", good, "--alpha", "2", "--weights", "general:%s" % general,
+          "--apply-power"], "--apply-power requires product weights"),
+        (error + ["--vector", headless],
+         "malformed vector file %s: missing N=/s= header lines" % headless),
+    ]
+    for argv, msg in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: %s\n" % msg), argv
+        assert not os.path.exists(vec) and not (tmp_path / "s.csv").exists(), argv
 
 
 def _outcome(argv, capsys, out):

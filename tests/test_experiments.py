@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from latgen import oracles
+from latgen import experiments, oracles
 from latgen.experiments import CONFIGS, DIMENSION, ExperimentConfig, run_experiment
 from latgen.numtheory import GeneratingVector
 
@@ -97,4 +97,41 @@ def test_table1_shape_artifacts(tmp_path):
     assert {c["name"] for c in report["checks"]} == {
         "N-scaling n=14/n=12",
         "s-scaling s=200/s=100",
+    }
+
+
+def test_run_figure_checks_slopes_anchors_and_the_fit_floor(tmp_path, monkeypatch):
+    """_run_figure on chosen wce rows: one CSV row per (alpha, algorithm, N),
+    a slope passes at or under its limit and fails over it, an override
+    replaces slope_max, an anchor passes within its factor and fails
+    outside it, and a point with wce <= 1e-15 stays out of the fit."""
+    def fake_row(algo, N, s, weights, alpha):
+        wce = float(N) ** (-2.0 if algo == "fast" else -1.0)
+        if (alpha, algo, N) == (3.0, "fast", 64):
+            wce = 1e-16  # in the fit, this point would make the slope positive
+        return {"N": N, "s": s, "alpha": alpha, "weights_id": weights, "algorithm": algo,
+                "wce": wce, "construct_seconds": 0.0, "eval_seconds": 0.0}
+
+    monkeypatch.setattr(experiments, "sweep_row", fake_row)
+    cfg = ExperimentConfig(
+        id="figx", algorithms=("fast", "slow"), weights="product:1/j^2", alphas=(2.0, 3.0),
+        moduli=(64, 128, 256), anchor_N=128,
+        anchors={(2.0, "fast"): (1.5 / 128**2, 2.0, "reference"),
+                 (2.0, "slow"): (10.0 / 128, 2.0, "reference")},
+        slope_max={2.0: -1.5, 3.0: -1.5}, slope_overrides={(3.0, "slow"): -0.5})
+    checks = {c["name"]: (c["passed"], c["detail"])
+              for c in experiments._run_figure(cfg, str(tmp_path))}
+    with open(tmp_path / "figx.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted((float(r["alpha"]), r["algorithm"], int(r["N"])) for r in rows) == sorted(
+        (a, algo, N) for a in (2.0, 3.0) for algo in ("fast", "slow") for N in (64, 128, 256))
+    assert checks == {
+        "slope alpha=2 fast": (True, "slope -2.000 (limit -1.500)"),
+        "slope alpha=2 slow": (False, "slope -1.000 (limit -1.500)"),
+        "slope alpha=3 fast": (True, "slope -2.000 (limit -1.500)"),
+        "slope alpha=3 slow": (True, "slope -1.000 (limit -0.500)"),
+        "anchor alpha=2 fast N=128": (
+            True, "wce 6.103516e-05 vs reference 9.155273e-05 (ratio 0.667, max 2.00)"),
+        "anchor alpha=2 slow N=128": (
+            False, "wce 7.812500e-03 vs reference 7.812500e-02 (ratio 0.100, max 2.00)"),
     }

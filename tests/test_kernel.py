@@ -14,6 +14,7 @@ from latgen.kernel import (
     cosine_dft,
     fourier_decay_table,
     kernel_table,
+    vartheta_table,
     zeta,
 )
 from latgen.oracles import fourier_decay_sum, log_inv_sin2, omega, vartheta_truncated
@@ -123,6 +124,18 @@ def test_decay_table_beyond_double_range_names_alpha_and_N(alpha, N):
     cannot be formed, and the error says so instead of returning NaN."""
     with pytest.raises(ValueError, match=re.escape("alpha = %r at N = %d" % (alpha, N))):
         fourier_decay_table(alpha, N)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5])
+@pytest.mark.parametrize("N", [1, 0, -3])
+def test_tables_refuse_moduli_below_2(N, alpha):
+    """No residue table exists below N = 2: the decay table refuses such N
+    as the log-sine and truncated tables do, at the closed form's alpha and
+    at the Hurwitz fold's."""
+    for call in (lambda: fourier_decay_table(alpha, N), lambda: kernel_table(N),
+                 lambda: vartheta_table(N, alpha)):
+        with pytest.raises(ValueError, match="need N >= 2"):
+            call()
 
 
 @pytest.mark.filterwarnings("error")
