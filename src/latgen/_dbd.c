@@ -1,8 +1,9 @@
 /* The compiled kernels of latgen: the CBC-DBD construction for N = 2^n on
  * the unit layout (dbd_construct), the product-weight lattice sum over
- * columns that are slices of one table (product_sum) and one component of
- * the fast CBC (cbc_step). latgen._slowpath holds the numpy twin of each and
- * its docstrings.
+ * columns that are slices of one table (product_sum), one component of
+ * the fast CBC (cbc_step) and the correctly rounded sum of its values
+ * (fsum). latgen._slowpath holds the numpy twin of each and its docstrings;
+ * fsum's twin is math.fsum itself.
  *
  * dbd_construct: the odd residues mod 2^t are +-5^i, i < L_t = 2^(t-2). Level
  * t = 2..n of the state holds one slot per +- pair, q[L_t - 1 + i] =
@@ -52,6 +53,11 @@
  * leaves double range is taken of the values scaled by a power of two,
  * which is exact. Last come the argmin and the near set: every candidate
  * within twice the bound of the least score.
+ *
+ * fsum: the sum of a lattice sum's per-slot values times their counts, and
+ * of a table's coefficients, is CPython's math.fsum ported to C, with the
+ * partials in a stack array, so no value is boxed as a Python float. Both
+ * are correctly rounded, so they give the same double.
  *
  * Compiled on first import by latgen._kernels and loaded with ctypes. Build
  * with -ffp-contract=off so every product and sum is rounded as written.
@@ -329,4 +335,70 @@ int64_t cbc_step(const struct cbc_state *st, int64_t b, double gamma, int score)
             st->near[n++] = k;
         }
     return n;
+}
+
+/* Room for every partial of an exact sum: nonzero, nonoverlapping doubles,
+ * each holding at least one of the 2098 bit positions from 2^-1074 to
+ * 2^1023. */
+#define NPART 2100
+
+/* *out = sum_i x[i] counts[i] (sum_i x[i] when counts is NULL), i < n,
+ * correctly rounded: CPython's math.fsum, line for line. Each term is added
+ * to a list of nonoverlapping partials, ordered by magnitude, whose sum is
+ * exactly that of the terms so far (Shewchuk, Discrete Comput. Geom. 18,
+ * 1997); the partials are then added from the largest down while the sum
+ * stays exact, and the last rounding corrected to half-even across the
+ * partials. Returns 0, or 1 and leaves *out alone when a running sum is not
+ * finite (a term is inf or NaN, or the sum overflows) or the partials
+ * outgrow NPART: math.fsum then gives the value or the exception. */
+int fsum(const double *x, const double *counts, int64_t n, double *out)
+{
+    double p[NPART], hi, lo, yr;
+    int64_t m = 0;
+    for (int64_t k = 0; k < n; k++) {
+        double a = counts ? x[k] * counts[k] : x[k];
+        int64_t i = 0;
+        for (int64_t j = 0; j < m; j++) {
+            double b = p[j];
+            if (fabs(a) < fabs(b)) {
+                double t = a;
+                a = b;
+                b = t;
+            }
+            hi = a + b;
+            yr = hi - a;
+            lo = b - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            a = hi;
+        }
+        m = i;
+        if (a != 0.0) {
+            if (!isfinite(a) || m >= NPART)
+                return 1;
+            p[m++] = a;
+        }
+    }
+    hi = 0.0;
+    if (m > 0) {
+        hi = p[--m];
+        lo = 0.0;
+        while (m > 0) {
+            double a = hi, b = p[--m];
+            hi = a + b;
+            yr = hi - a;
+            lo = b - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* half-even across the partials: sum([1e-16, 1, 1e16]) rounds up */
+        if (m > 0 && ((lo < 0.0 && p[m - 1] < 0.0) || (lo > 0.0 && p[m - 1] > 0.0))) {
+            double b = lo * 2.0, a = hi + b;
+            yr = a - hi;
+            if (b == yr)
+                hi = a;
+        }
+    }
+    *out = hi;
+    return 0;
 }

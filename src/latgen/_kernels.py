@@ -1,5 +1,5 @@
-"""Backend selection for the compiled kernels, dbd_construct, product_sum and
-cbc_step.
+"""Backend selection for the compiled kernels, dbd_construct, product_sum,
+cbc_step and fsum.
 
 The C kernels in _dbd.c are compiled with the system C compiler (the first
 of cc, gcc, clang on PATH) the first time this module is imported, and
@@ -9,7 +9,7 @@ flags and the machine. Processes that import at the same time each compile
 to a temporary name and move the result into place with os.replace, so none
 of them can load a half-written file.
 
-The library holds three functions. dbd_construct builds the CBC-DBD
+The library holds four functions. dbd_construct builds the CBC-DBD
 components from the log-sine table and returns those it could build (see
 latgen._slowpath.dbd_construct, its twin, which reads its levels from
 numtheory.unit_layout and UnitColumns; the C kernel lays them out in the
@@ -21,10 +21,15 @@ latgen._slowpath.product_sum). cbc_step runs one fast-CBC component on a
 step state of latgen.cbc: the update, the short tail's scores, the rounding
 bound, the argmin and the near set (see latgen._slowpath.cbc_step); it
 reads the state through one struct of its arrays' addresses, made on the
-first call. The numpy implementations in latgen._slowpath are the
-fallback: they are used when LATGEN_PURE=1 is set, the cache cannot be
-written, no compiler is found, or the compile fails. dbd_construct and
-product_sum give the same doubles on both, and so does cbc_step's update;
+first call. fsum is the correctly rounded sum sum_i x[i] counts[i] that
+closes every lattice sum and vartheta_table's zero term: CPython's
+math.fsum ported to C, so no value is boxed as a Python float; a sum with
+a non-finite term or an intermediate overflow is handed to math.fsum,
+which returns or raises as it would. The numpy implementations in
+latgen._slowpath are the fallback: they are used when LATGEN_PURE=1 is
+set, the cache cannot be written, no compiler is found, or the compile
+fails. dbd_construct, product_sum and fsum give the same doubles on both
+(fsum's twin is math.fsum), and so does cbc_step's update;
 its short-tail scores are a fixed-order dot in C and a BLAS product in
 numpy, so the scores and the bound may differ in their last bits, and
 either near set holds the exact gather sum's choice. The bound's norms sum
@@ -134,6 +139,8 @@ def _load():
     lib.cbc_step.argtypes = [ctypes.POINTER(_StepArgs), ctypes.c_int64, ctypes.c_double,
                              ctypes.c_int]
     lib.cbc_step.restype = ctypes.c_int64
+    lib.fsum.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    lib.fsum.restype = ctypes.c_int
     return lib, path
 
 
@@ -198,6 +205,7 @@ if _lib is None:
     dbd_construct = _slowpath.dbd_construct
     product_sum = _slowpath.product_sum
     cbc_step = _slowpath.cbc_step
+    fsum = _slowpath.fsum
 else:
 
     def dbd_construct(ktab, n, gamma1, gammas, rtol):
@@ -231,3 +239,16 @@ else:
         if n < 0:
             raise ValueError("candidate %d is out of range" % b)
         return n
+
+    def fsum(x, counts=None):
+        x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+        c = None
+        if counts is not None:
+            c = np.ascontiguousarray(counts, dtype=np.float64).reshape(-1)
+            if c.shape != x.shape:
+                raise ValueError("need one count per value")
+        out = np.empty(1)
+        if _lib.fsum(x.ctypes.data, None if c is None else c.ctypes.data, x.shape[0],
+                     out.ctypes.data):
+            return _slowpath.fsum(x, c)
+        return float(out[0])

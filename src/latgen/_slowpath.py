@@ -8,6 +8,8 @@ block of the unit layout and one of its fixed residues
 (numtheory.ColumnSlices), or one gathered array for the moduli that have no
 such layout (see weights.subset_product_sum).
 
+fsum is the twin of the compiled correctly rounded sum: math.fsum itself.
+
 cbc_step is the twin of one fast-CBC component (latgen.cbc.ScoringPlan.step):
 the update, through the plan's one reader of a rotation, ScoringPlan.column,
 then the short tail's scores, the rounding bound and the near set. norm is
@@ -143,6 +145,17 @@ def product_sum(gammas, cols):
     if len(gammas) != len(cols) or not len(cols):
         raise ValueError("need one gamma per column and at least one column")
     return product_columns(gammas, map(cols.parts, range(len(cols))))
+
+
+def fsum(x, counts=None) -> float:
+    """sum_i x[i] counts[i] (sum_i x[i] when counts is None), correctly
+    rounded: math.fsum, which _dbd.c's fsum ports, so both give the same
+    double, and the same exception on an infinite or NaN term or an
+    intermediate overflow."""
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    if counts is not None:
+        x = x * counts
+    return math.fsum(memoryview(x))
 
 
 def norm(a: np.ndarray) -> float:

@@ -16,7 +16,10 @@ prime N and N = 2^n every column is then a few slices of one buffer
 (numtheory.UnitColumns; the +- pairs k, N - k share a slot, counted twice),
 and for product weights one compiled kernel (latgen._kernels.product_sum)
 runs all s columns over a cache-sized chunk of slots at a time: O(s N/2)
-work with no modular arithmetic, no gather and no column copied. Other
+work with no modular arithmetic, no gather and no column copied; the
+per-slot values times their counts are then summed, correctly rounded, by
+latgen._kernels.fsum (CPython's math.fsum ported to C; math.fsum itself on
+the numpy fallback). Other
 moduli gather tab[k z mod N] over k = 0..N-1 into the numpy loop. A theorem
 bound is the same kernel over a one-value buffer that every column reads at
 offset 0. Callers that evaluate several sums of one vector (latgen error: e
@@ -48,7 +51,8 @@ def lattice_kernel_sum(v: GeneratingVector, tab: np.ndarray, w, layout=None) -> 
     """sum over nonempty u of gamma_u sum_{k=0}^{N-1} prod_{j in u} tab[(k z_j) % N]
     for a residue-indexed, exactly symmetric table of length N (see
     latgen.kernel). For product weights the per-k products are the doubles
-    of the natural order, and their sum is one correctly rounded fsum.
+    of the natural order, and their sum is one correctly rounded
+    _kernels.fsum, the same double on either backend.
     layout is unit_layout(v.N), built here when not given."""
     if layout is None:
         layout = unit_layout(v.N)

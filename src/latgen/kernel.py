@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .numtheory import check_modulus
 
 __all__ = [
@@ -110,10 +111,11 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
     if alpha < 1.0:
         raise ValueError("requires alpha >= 1")
     p = np.arange(1, N, dtype=float) ** (-alpha)
-    c = np.zeros(N)
-    c[1:] = p + p[::-1]
+    c = np.empty(N)
+    c[0] = 0.0
+    np.add(p, p[::-1], out=c[1:])
     tab = cosine_dft(c)
-    tab[0] = 2.0 * math.fsum(memoryview(p))
+    tab[0] = 2.0 * _kernels.fsum(p)
     return tab
 
 
@@ -186,11 +188,12 @@ def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     from scipy.special import zeta as hurwitz_zeta
 
     # S[res] = sum over positive m congruent to res mod N of m^-alpha
-    res = np.arange(N, dtype=float)
+    x = np.arange(1, N, dtype=float)
+    x /= N
     S = np.empty(N)
     S[0] = zeta0 = zeta(alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        S[1:] = hurwitz_zeta(alpha, res[1:] / N)
+        hurwitz_zeta(alpha, x, out=S[1:])
         S *= float(N) ** (-alpha)
     if not np.isfinite(S).all():
         raise ValueError("the decay table for alpha = %r at N = %d overflows double "

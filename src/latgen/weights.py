@@ -127,8 +127,9 @@ def subset_product_sum(w: Weights, columns, counts=None) -> float:
     full relative precision instead of being rounded away inside 1 + d.
     General weights enumerate the subsets. counts, if given, says how many
     terms each index i stands for (numtheory.UnitLayout.counts). Every sum
-    over i is one math.fsum, correctly rounded, so it does not depend on the
-    order of the i.
+    over i of the values times their counts is one _kernels.fsum, correctly
+    rounded (compiled, or math.fsum itself on the numpy fallback, the same
+    double either way), so it does not depend on the order of the i.
     """
     if isinstance(w, ProductWeights):
         if not isinstance(columns, ColumnSlices):
@@ -139,9 +140,7 @@ def subset_product_sum(w: Weights, columns, counts=None) -> float:
             d = None
         if d is None:
             return 0.0
-        if counts is not None:
-            d *= counts
-        return math.fsum(memoryview(d))
+        return _kernels.fsum(d, counts)
     cols = list(columns)
     total = []
     for size in range(1, len(cols) + 1):
@@ -149,9 +148,7 @@ def subset_product_sum(w: Weights, columns, counts=None) -> float:
             prod = np.ones(cols[0].shape[0])
             for j in u:
                 prod = prod * cols[j - 1]
-            if counts is not None:
-                prod *= counts
-            total.append(w.gamma(u) * math.fsum(memoryview(prod)))
+            total.append(w.gamma(u) * _kernels.fsum(prod, counts))
     return math.fsum(total)
 
 

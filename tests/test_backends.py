@@ -1,12 +1,15 @@
 """Interchangeable implementations must agree: the C kernel and the numpy
 fallback, and the vectorized products and their plain loops."""
 
+import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import latgen
 from latgen import _kernels, _slowpath, cbc
@@ -55,6 +58,84 @@ def test_product_sum_backends_agree():
             assert np.array_equal(d, _slowpath.product_sum(gammas, cols))
     with pytest.raises(ValueError):
         _kernels.product_sum([0.5], ColumnSlices(buf, np.zeros((2, 1)), [3]))
+
+
+def _fsum_outcome(f):
+    """f()'s value as its bits (NaN as one value), or the type it raised."""
+    try:
+        v = f()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def _fsum_agrees(x, counts=None):
+    """The compiled sum of x times counts is math.fsum's, bit for bit, or
+    raises what math.fsum raises."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = x if counts is None else x * counts
+        want = _fsum_outcome(lambda: math.fsum(memoryview(terms)))
+        got = _fsum_outcome(lambda: _kernels.fsum(x, counts))
+    assert got == want, (x[:8], counts)
+    return want
+
+
+def _fsum_arrays():
+    rng = np.random.default_rng(29)
+    mixed = rng.normal(size=3000) * 10.0 ** rng.integers(-18, 18, size=3000)
+    cancelling = np.concatenate([mixed, -mixed, [1e-300, 3.0]])
+    rng.shuffle(cancelling)
+    return [
+        rng.uniform(-1.0, 1.0, size=1 << 15),
+        rng.uniform(0.0, 1.0, size=5000),
+        mixed,
+        cancelling,
+        rng.uniform(-1.0, 1.0, size=700) * 2.0**-1060,  # subnormal
+        np.concatenate([rng.uniform(-1.0, 1.0, size=300) * 2.0**-1070,
+                        rng.uniform(-1.0, 1.0, size=300)]),
+        rng.uniform(-1.0, 1.0, size=2000) * 10.0 ** rng.uniform(-300, 300, size=2000),
+        np.array([1e-16, 1.0, 1e16]),  # half-even across partials
+        np.array([]),
+        np.array([-0.0]),
+        np.array([2.5]),
+    ]
+
+
+def test_fsum_backends_agree():
+    """The compiled correctly rounded sum gives math.fsum's double on random,
+    cancelling, subnormal and 1e+-300 data, with counts of 1 and 2, at
+    lengths 0 and 1."""
+    rng = np.random.default_rng(30)
+    for x in _fsum_arrays():
+        _fsum_agrees(x)
+        _fsum_agrees(x, np.ones(x.shape[0]))
+        _fsum_agrees(x, 2.0 * np.ones(x.shape[0]))
+        _fsum_agrees(x, rng.integers(1, 3, size=x.shape[0]).astype(float))
+        _fsum_agrees(x[::-1])
+    with pytest.raises(ValueError):
+        _kernels.fsum(np.ones(3), np.ones(2))
+
+
+def test_fsum_non_finite_terms_give_math_fsums_result():
+    """inf and NaN terms, inf + -inf and an intermediate overflow return or
+    raise as math.fsum does, counts included."""
+    inf, nan = math.inf, math.nan
+    assert _fsum_agrees([1.0, inf, 2.0]) == struct.pack("<d", inf)
+    assert _fsum_agrees([1.0, -inf]) == struct.pack("<d", -inf)
+    assert _fsum_agrees([1.0, nan, 2.0]) == "nan"
+    assert _fsum_agrees([inf, 1.0, -inf]) is ValueError
+    assert _fsum_agrees([1e308, 1e308, -1e308]) is OverflowError
+    assert _fsum_agrees([1e308, 1.0], [2.0, 1.0]) == struct.pack("<d", inf)
+    assert _fsum_agrees([1e308, -1e308, 3.0], [2.0, 2.0, 1.0]) is ValueError
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([1.0, 2.0])), max_size=60))
+def test_fsum_matches_math_fsum(terms):
+    x = [t for t, _ in terms]
+    _fsum_agrees(x)
+    _fsum_agrees(x, np.array([c for _, c in terms], dtype=np.float64).reshape(-1))
 
 
 def _record_steps(monkeypatch, step, construct):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import latgen
+from latgen import cli
 from latgen.cbc import construct_korobov_cbc
 from latgen.cli import (
     VECTOR_MAGIC,
@@ -266,13 +267,16 @@ def test_threaded_sweep_equals_the_serial_one(tmp_path):
 def _sweep_pool_sizes(tmp_path, monkeypatch, threads, rows):
     """Runs a cbc-dbd sweep of rows rows under LATGEN_THREADS=threads with a
     ProcessPoolExecutor that records its max_workers and maps in this
-    process, so no worker process is started. Returns the recorded sizes."""
+    process, so no worker process is started. Returns the recorded sizes.
+    Every pool is given the CLI's allocator setting as its workers'
+    initializer, so they keep their freed pages under any start method."""
     import concurrent.futures
 
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
+            assert initializer is cli._keep_freed_pages
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -412,6 +416,18 @@ def test_sweep_row_powers_weights_consistently():
     assert row["algorithm"] == "korobov-cbc"
 
 
+def _run_script(script, *argv):
+    """Runs script under `python -c` in a fresh process that imports this
+    latgen; returns its stdout, after checking that it exited 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latgen.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_cold_paths_never_import_scipy(tmp_path):
     """scipy (0.3 s of import) is loaded only by a Hurwitz-zeta decay table,
     that is, a worst-case error at alpha outside {2, 4, 6, 8}; the test-only
@@ -438,12 +454,7 @@ for argv in runs:
 assert main(["error", "--vector", d + "/v.txt", "--alpha", "2.5", *w]) == 0
 assert "scipy" in sys.modules
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(latgen.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
+    _run_script(script, str(tmp_path))
 
 
 def test_library_does_not_import_the_cli():
@@ -589,3 +600,69 @@ def test_points_limit(tmp_path, capsys):
     write_vector(vec, GeneratingVector(8, (1, 5)))
     assert main(["points", "--vector", vec, "--limit", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def _is_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="the CLI sets glibc's malloc only")
+def test_cli_error_keeps_its_freed_pages(tmp_path):
+    """At N = 2^15 every table and transform is over malloc's default mmap
+    threshold; with the CLI's setting a second `latgen error` in the same
+    process faults in almost no fresh pages (600-900 without it)."""
+    script = """
+import contextlib, io, resource, sys
+from latgen.cli import main
+d = sys.argv[1]
+w = ["--weights", "product:1/j^2"]
+assert main(["construct", "--algo", "cbc-dbd", "--n", "15", "--s", "100", *w,
+             "--out", d + "/v.txt"]) == 0
+argv = ["error", "--vector", d + "/v.txt", "--alpha", "2", *w, "--with-T", "--with-bounds",
+        "--format", "json"]
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+    assert int(_run_script(script, str(tmp_path))) < 100
+
+
+@pytest.mark.skipif(not _is_glibc(), reason="the CLI sets glibc's malloc only")
+def test_library_leaves_the_allocator_alone(tmp_path):
+    """import latgen and a lattice sum never call mallopt; the CLI does, once
+    per process."""
+    script = """
+import ctypes, sys
+calls = []
+
+class Spy(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            calls.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Spy
+import latgen
+from latgen.error import wce_product
+from latgen.numtheory import GeneratingVector
+from latgen.weights import ProductWeights
+w = ProductWeights(tuple(1.0 / j**2 for j in range(1, 4)))
+v = GeneratingVector(1 << 15, (1, 12345, 2047))
+assert wce_product(v, 2.0, w) > 0.0
+assert calls == [], calls
+from latgen.cli import main
+d = sys.argv[1]
+for _ in range(2):
+    assert main(["construct", "--algo", "cbc-dbd", "--n", "4", "--s", "2",
+                 "--weights", "product:1/j^2", "--out", d + "/v.txt"]) == 0
+assert calls == ["mallopt"], calls
+"""
+    _run_script(script, str(tmp_path))
+
