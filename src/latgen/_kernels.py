@@ -29,12 +29,12 @@ which returns or raises as it would. The numpy implementations in
 latgen._slowpath are the fallback: they are used when LATGEN_PURE=1 is
 set, the cache cannot be written, no compiler is found, or the compile
 fails. dbd_construct, product_sum and fsum give the same doubles on both
-(fsum's twin is math.fsum), and so does cbc_step's update;
-its short-tail scores are a fixed-order dot in C and a BLAS product in
-numpy, so the scores and the bound may differ in their last bits, and
-either near set holds the exact gather sum's choice. The bound's norms sum
-their squares without BLAS on both (a loop in C, _slowpath.norm in numpy),
-so they do not follow the BLAS thread count. BACKEND is "c" or
+(fsum's twin is math.fsum), and so do cbc_step's update and scores, whose
+short tail both sum in slot order. The bound's norms sum their squares
+without BLAS on both, but in different orders (a loop in C,
+_slowpath.norm's pairwise sum in numpy), so the bounds may differ in their
+last bits, and either near set holds the exact gather sum's choice; neither
+follows the BLAS thread count. BACKEND is "c" or
 "numpy"; BACKEND_REASON says which library was loaded or why the fallback
 was chosen.
 """

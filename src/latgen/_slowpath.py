@@ -12,7 +12,8 @@ fsum is the twin of the compiled correctly rounded sum: math.fsum itself.
 
 cbc_step is the twin of one fast-CBC component (latgen.cbc.ScoringPlan.step):
 the update, through the plan's one reader of a rotation, ScoringPlan.column,
-then the short tail's scores, the rounding bound and the near set. norm is
+then the short tail's scores, summed in the compiled step's order so they
+are its doubles, the rounding bound and the near set. norm is
 the one 2-norm of that bound, of the plan's kernel norms and row norm as
 well as of the step's states; it sums without BLAS.
 
@@ -185,7 +186,8 @@ def cbc_step(st, b, gamma, score):
     0 <= b < len(st.sc), first st.p *= 1 + gamma * st.plan.column(b), the
     same elementwise operations as the compiled step's update; b = -1 leaves
     st.p as it is. Then, if score is true, the short tail's scores
-    p[short:] @ st.ct are added to the transform's scores in st.sc
+    sum_j st.ct[j] * p[short + j], summed over j = 0, 1, ... as the compiled
+    step sums them, are added to the transform's scores in st.sc
     (written there when the plan has no long level), the rounding bound
     goes to st.bound[0] and the near set, the candidates within twice the
     bound of the least score, to st.near. Returns the size of the near set;
@@ -205,7 +207,9 @@ def cbc_step(st, b, gamma, score):
             weight += norm(p[lv.start : lv.stop]) * lv.kernel_norm
         bound = st.tfactor * weight
     if ps.shape[0]:
-        part = ps @ st.ct  # the dgemv of st.ct.T @ ps, without the transposed view
+        # numpy reduces over the outer axis one row after another, j = 0..m-1:
+        # the compiled step's order, so the scores are its doubles
+        part = np.add.reduce(st.ct * ps[:, None], axis=0)
         if plan.levels:
             sc.reshape(-1, part.shape[0])[...] += part
         else:

@@ -47,7 +47,8 @@ candidate.
   holds each short block's kernel values rotated by -b, a slice of its
   doubled values in numtheory.UnitColumns, then the fixed slots' values
   but residue 0's; the table repeats with the longest short block. The
-  compiled step sums each row in slot order; the twin's product is BLAS's.
+  compiled step and its twin both sum each row in slot order, so their
+  scores are the same doubles.
   Prime N <= 127 and N = 2^n <= 256 have no long block and run no
   transform; N = 2 and 4 have no block at all, and their one candidate
   z = 1 is scored by the fixed slots alone.
@@ -163,9 +164,9 @@ class ScoringPlan:
         parts.append(self.rows[b % self.rows.shape[0]])
         return np.concatenate(parts)
 
-    def start(self, p=None) -> "_StepState":
-        """A step state on a copy of p, or on all ones, the empty product."""
-        return _StepState(self, p)
+    def start(self) -> "_StepState":
+        """A step state on all ones, the empty product."""
+        return _StepState(self)
 
     def step(self, st: "_StepState", b: int, gamma: float):
         """Multiplies st.p by 1 + gamma * column(b) (b = -1 leaves it as it
@@ -220,13 +221,11 @@ class _StepState:
     __slots__ = ("plan", "p", "sc", "near", "bound", "part", "ct", "tfactor", "sfactor",
                  "handle")
 
-    def __init__(self, plan: ScoringPlan, p=None):
+    def __init__(self, plan: ScoringPlan):
         P, m = plan.rows.shape
         Q = plan.z.shape[0]
         self.plan = plan
-        self.p = np.ones(plan.short + m) if p is None else np.array(p, dtype=np.float64)
-        if self.p.shape != (plan.short + m,):
-            raise ValueError("the state needs one value per slot of the plan")
+        self.p = np.ones(plan.short + m)
         self.sc = np.zeros(Q)
         self.near = np.zeros(Q, dtype=np.int64)
         self.bound = np.zeros(1)

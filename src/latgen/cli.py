@@ -141,9 +141,9 @@ def cmd_error(args) -> int:
         report["T"] = T_quantity(v, w, layout)
     if args.with_bounds:
         if v.N & (v.N - 1) == 0:
-            report["bound_cbcdbd"] = bound_thm_cbcdbd(v.N, w, v.s)
+            report["bound_cbcdbd"] = bound_thm_cbcdbd(v.N, w)
         elif is_prime(v.N):
-            report["bound_cbc"] = bound_thm_cbc(v.N, w, v.s)
+            report["bound_cbc"] = bound_thm_cbc(v.N, w)
         else:
             raise ValueError("bounds available only for N prime or N = 2^n")
     if args.format == "json":

@@ -102,47 +102,39 @@ def T_alpha_quantity(v: GeneratingVector, alpha: float, w, layout=None) -> float
     return lattice_kernel_sum(v, vartheta_table(v.N, alpha), w, layout) / v.N
 
 
-def _subset_power_sum(w, s: int, a: float) -> float:
-    """sum over nonempty u of gamma_u * a^|u|: s one-point columns, each
+def _subset_power_sum(w, a: float) -> float:
+    """sum over nonempty u of gamma_u * a^|u|: w.s one-point columns, each
     reading the single value a."""
     return subset_product_sum(
-        w, ColumnSlices(np.array([a]), np.zeros((s, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
+        w, ColumnSlices(np.array([a]), np.zeros((w.s, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
     )
 
 
-def bound_thm_existence(N: int, w, s: int = None) -> float:
-    """(2/N) * sum over nonempty u of gamma_u (2(1 + ln N))^|u|."""
-    s = _dim_of(w, s)
-    return 2.0 / N * _subset_power_sum(w, s, 2.0 * (1.0 + math.log(N)))
+def bound_thm_existence(N: int, w) -> float:
+    """(2/N) * sum over nonempty u of gamma_u (2(1 + ln N))^|u|, u within
+    1..w.s."""
+    return 2.0 / N * _subset_power_sum(w, 2.0 * (1.0 + math.log(N)))
 
 
-def bound_thm_cbcdbd(N: int, w, s: int = None) -> float:
-    """Guaranteed T bound for the digit-by-digit construction, N = 2^n."""
+def bound_thm_cbcdbd(N: int, w) -> float:
+    """Guaranteed T bound for the digit-by-digit construction, N = 2^n, in
+    dimension w.s."""
     if N & (N - 1) != 0 or N < 2:
         raise ValueError("requires N = 2^n")
-    s = _dim_of(w, s)
     lnN = math.log(N)
     first = math.fsum(
-        [1.0, _subset_power_sum(w, s, math.log(4.0) + 2.0 * (1.0 + lnN))]
+        [1.0, _subset_power_sum(w, math.log(4.0) + 2.0 * (1.0 + lnN))]
     )
     second = 2.0 * (1.0 + lnN) * math.fsum(
-        [1.0, _subset_power_sum(w, s, 2.0 * (1.0 + 2.0 * lnN))]
+        [1.0, _subset_power_sum(w, 2.0 * (1.0 + 2.0 * lnN))]
     )
     return (first + second) / N
 
 
-def bound_thm_cbc(N: int, w, s: int = None) -> float:
-    """Guaranteed T bound for the whole-component CBC construction, prime N."""
-    s = _dim_of(w, s)
+def bound_thm_cbc(N: int, w) -> float:
+    """Guaranteed T bound for the whole-component CBC construction, prime
+    N, in dimension w.s."""
     lnN = math.log(N)
-    first = _subset_power_sum(w, s, 4.0 * lnN)
-    second = (1.0 + lnN) * _subset_power_sum(w, s, 2.0 + 4.0 * lnN)
+    first = _subset_power_sum(w, 4.0 * lnN)
+    second = (1.0 + lnN) * _subset_power_sum(w, 2.0 + 4.0 * lnN)
     return 2.0 / N * (first + second)
-
-
-def _dim_of(w, s):
-    if s is None:
-        return w.s
-    if s > w.s:
-        raise ValueError("weight sequence shorter than requested dimension")
-    return s

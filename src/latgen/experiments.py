@@ -1,19 +1,22 @@
 """Pinned desk-scale reproduction harness.
 
-Each config regenerates one published convergence plot (fig2a-d: N = 2^n,
-CBC-DBD vs standard CBC; fig3a-d: prime N, Korobov CBC vs standard CBC), a
-timing grid of the expected cost shape (table1-shape), or the differential
-oracle suite. Checks compare against tagged reference values with explicit
-tolerances -- never exact equality, since tie-breaking details legitimately
-perturb the constructed vectors.
+Each figure config regenerates one published convergence plot (fig2a-d:
+N = 2^n, CBC-DBD vs standard CBC; fig3a-d: prime N, Korobov CBC vs standard
+CBC) and declares its gates with it: a limit on each series' log-log slope
+and a reference value, with a tolerance factor, at one modulus. Two runners
+own their inputs: table1-shape, a timing grid of the expected cost shape,
+and oracle-suite, the differential oracle suite. Checks compare against
+reference values with explicit tolerances -- never exact equality, since
+tie-breaking details legitimately perturb the constructed vectors.
 """
 
 import csv
+import functools
 import json
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -35,115 +38,105 @@ PRIME_EXPONENTS = range(6, 15)  # N = prev_prime(2^6) .. prev_prime(2^14)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One pinned reproduction: algorithms, weight family, alpha list, modulus
-    schedule, slope thresholds and anchor points (value, tolerance factor,
-    provenance tag)."""
+    """One pinned figure: algorithms, weight family, alpha list, modulus
+    schedule, and its gates: slope limits and anchor points."""
 
     id: str
     algorithms: Tuple[str, ...]
     weights: str
     alphas: Tuple[float, ...]
     moduli: Tuple[int, ...]
-    anchor_N: int = 0
-    #: (alpha, algorithm) -> (reference value, max ratio, provenance tag)
-    anchors: Dict = field(default_factory=dict)
+    anchor_N: int
+    #: (alpha, algorithm) -> (reference value at anchor_N, max ratio)
+    anchors: Dict
     #: alpha -> maximum acceptable least-squares log-log slope
-    slope_max: Dict = field(default_factory=dict)
+    slope_max: Dict
     #: (alpha, algorithm) -> slope limit override
-    slope_overrides: Dict = field(default_factory=dict)
+    slope_overrides: Dict
 
 
-def _figure_config(cid, algorithms, weights, anchor_N, anchor_values, slopes, moduli):
-    """anchor_values: {alpha: (value_algo0, value_algo1)}; default factor-2
-    tolerance, tightened where the acceptance contract demands it."""
-    anchors = {}
-    for alpha, pair in anchor_values.items():
-        for algo, value in zip(algorithms, pair):
-            anchors[(alpha, algo)] = (value, 2.0, "reference")
+def _figure_config(cid, weights, anchor_values, slopes, algorithms, anchor_N, moduli,
+                   factors=None, slope_overrides=None):
+    """anchor_values: {alpha: (value_algo0, value_algo1)}, each within a factor
+    2 unless factors {(alpha, algorithm): factor} sets another; slopes:
+    {alpha: limit}, unless slope_overrides {(alpha, algorithm): limit} sets
+    another."""
+    factors = factors or {}
+    anchors = {(alpha, algo): (value, factors.get((alpha, algo), 2.0))
+               for alpha, pair in anchor_values.items()
+               for algo, value in zip(algorithms, pair)}
     return ExperimentConfig(
         id=cid, algorithms=algorithms, weights=weights,
-        alphas=tuple(sorted(anchor_values)), moduli=tuple(moduli),
-        anchor_N=anchor_N, anchors=anchors, slope_max=dict(slopes),
+        alphas=tuple(sorted(anchor_values)), moduli=moduli, anchor_N=anchor_N,
+        anchors=anchors, slope_max=slopes, slope_overrides=slope_overrides or {},
     )
 
 
-_POW2_MODULI = tuple(1 << n for n in POW2_EXPONENTS)
-_PRIME_MODULI = tuple(prev_prime(1 << n) for n in PRIME_EXPONENTS)
+_FIG2 = dict(algorithms=("cbc-dbd", "std-cbc"), anchor_N=1024,
+             moduli=tuple(1 << n for n in POW2_EXPONENTS))
+_FIG3 = dict(algorithms=("korobov-cbc", "std-cbc"), anchor_N=1021,
+             moduli=tuple(prev_prime(1 << n) for n in PRIME_EXPONENTS))
 
-CONFIGS = {}
-for _cfg in [
+CONFIGS = {cfg.id: cfg for cfg in [
     _figure_config(
-        "fig2a", ("cbc-dbd", "std-cbc"), "product:1/j^2", 1024,
+        "fig2a", "product:1/j^2",
         {2.0: (4.4138016980327e-05, 3.04693603577786e-05),
          3.0: (3.51880305969369e-08, 1.33241000855469e-08),
          4.0: (4.26011381546609e-11, 8.69354851101778e-12)},
-        {2.0: -1.6, 3.0: -2.5, 4.0: -3.3}, _POW2_MODULI),
+        {2.0: -1.6, 3.0: -2.5, 4.0: -3.3}, **_FIG2),
     _figure_config(
-        "fig2b", ("cbc-dbd", "std-cbc"), "product:1/j^3", 1024,
+        "fig2b", "product:1/j^3",
         {2.0: (8.96735413484793e-06, 6.74205804207878e-06),
          3.0: (5.25024469357468e-09, 3.14334593096102e-09),
          4.0: (4.03558187327091e-12, 2.27876940256736e-12)},
-        {2.0: -1.7, 3.0: -2.6, 4.0: -3.4}, _POW2_MODULI),
+        {2.0: -1.7, 3.0: -2.6, 4.0: -3.4}, **_FIG2),
     _figure_config(
-        "fig2c", ("cbc-dbd", "std-cbc"), "product:c^j:0.95", 1024,
+        "fig2c", "product:c^j:0.95",
         {2.0: (276066.703147798, 271766.502104828),
          3.0: (23.921630108221, 22.1652168955361),
          4.0: (0.785733512985636, 0.614997296374464)},
-        {2.0: -0.8, 3.0: -0.82, 4.0: -0.95}, _POW2_MODULI),
+        {2.0: -0.8, 3.0: -0.82, 4.0: -0.95}, **_FIG2),
     _figure_config(
-        "fig2d", ("cbc-dbd", "std-cbc"), "product:c^j:0.7", 1024,
+        "fig2d", "product:c^j:0.7",
         {2.0: (0.000868313446033489, 0.000649295569225828),
          3.0: (1.74556624440887e-06, 5.79750145408817e-07),
          4.0: (6.28865519885279e-09, 8.53309945874362e-10)},
-        {2.0: -1.3, 3.0: -2.0, 4.0: -2.7}, _POW2_MODULI),
+        {2.0: -1.3, 3.0: -2.0, 4.0: -2.7}, **_FIG2),
     _figure_config(
-        "fig3a", ("korobov-cbc", "std-cbc"), "product:1/j^2", 1021,
+        "fig3a", "product:1/j^2",
         {2.0: (3.02304172140273e-05, 3.03337003297473e-05),
          3.0: (1.27915645867856e-08, 1.26259939267129e-08),
          4.0: (8.48349833066318e-12, 7.93817323589033e-12)},
-        {2.0: -1.6, 3.0: -2.5, 4.0: -3.3}, _PRIME_MODULI),
+        {2.0: -1.6, 3.0: -2.5, 4.0: -3.3}, **_FIG3,
+        # the standard-CBC point the acceptance contract pins to 10%
+        factors={(2.0, "std-cbc"): 1.1}),
     _figure_config(
-        "fig3b", ("korobov-cbc", "std-cbc"), "product:1/j^3", 1021,
+        "fig3b", "product:1/j^3",
         {2.0: (6.71842516204534e-06, 6.71067140250752e-06),
          3.0: (3.15196828759722e-09, 3.1282237987031e-09),
          4.0: (2.30967568395001e-12, 2.27775310873231e-12)},
-        {2.0: -1.7, 3.0: -2.6, 4.0: -3.4}, _PRIME_MODULI),
+        {2.0: -1.7, 3.0: -2.6, 4.0: -3.4}, **_FIG3),
+    # For slowly decaying 0.95^j weights at higher smoothness, the published
+    # V-minimizing series track a slightly different greedy variant than the
+    # one pinned here, and the difference in wce is real. The tolerances below
+    # are widened, but they do not absorb it: at N = 1021 the alpha = 4 Korobov
+    # anchor ratio is 6.625, above its 4.5, and these checks gate like all
+    # others, so `latgen experiments run fig3c` exits 1.
     _figure_config(
-        "fig3c", ("korobov-cbc", "std-cbc"), "product:c^j:0.95", 1021,
+        "fig3c", "product:c^j:0.95",
         {2.0: (276870.710531586, 270899.820992591),
          3.0: (24.0374855168552, 22.2215313716621),
          4.0: (0.862069575307995, 0.616963198118981)},
-        {2.0: -0.8, 3.0: -0.82, 4.0: -0.95}, _PRIME_MODULI),
+        {2.0: -0.8, 3.0: -0.82, 4.0: -0.95}, **_FIG3,
+        factors={(3.0, "korobov-cbc"): 4.5, (4.0, "korobov-cbc"): 4.5},
+        slope_overrides={(3.0, "korobov-cbc"): -0.45, (4.0, "korobov-cbc"): -0.30}),
     _figure_config(
-        "fig3d", ("korobov-cbc", "std-cbc"), "product:c^j:0.7", 1021,
+        "fig3d", "product:c^j:0.7",
         {2.0: (0.000705641046409251, 0.000634771498002138),
          3.0: (8.74476856808452e-07, 6.15555840136454e-07),
          4.0: (1.94413977073814e-09, 9.78759682617165e-10)},
-        {2.0: -1.3, 3.0: -2.0, 4.0: -2.7}, _PRIME_MODULI),
-]:
-    CONFIGS[_cfg.id] = _cfg
-
-# the standard-CBC point the acceptance contract pins to 10%
-CONFIGS["fig3a"].anchors[(2.0, "std-cbc")] = (3.03337003297473e-05, 1.1, "reference")
-
-# For slowly decaying 0.95^j weights at higher smoothness, the published
-# V-minimizing series track a slightly different greedy variant than the
-# one pinned here, and the difference in wce is real. The tolerances below
-# are widened, but they do not absorb it: at N = 1021 the alpha = 4 Korobov
-# anchor ratio is 6.625, above its 4.5, and these checks gate like all
-# others, so `latgen experiments run fig3c` exits 1.
-CONFIGS["fig3c"].anchors[(3.0, "korobov-cbc")] = (24.0374855168552, 4.5, "reference")
-CONFIGS["fig3c"].anchors[(4.0, "korobov-cbc")] = (0.862069575307995, 4.5, "reference")
-CONFIGS["fig3c"].slope_overrides[(3.0, "korobov-cbc")] = -0.45
-CONFIGS["fig3c"].slope_overrides[(4.0, "korobov-cbc")] = -0.30
-
-CONFIGS["table1-shape"] = ExperimentConfig(
-    id="table1-shape", algorithms=("cbc-dbd",), weights="product:1/j^2",
-    alphas=(), moduli=(1 << 10, 1 << 12, 1 << 14),
-)
-CONFIGS["oracle-suite"] = ExperimentConfig(
-    id="oracle-suite", algorithms=(), weights="", alphas=(), moduli=(),
-)
+        {2.0: -1.3, 3.0: -2.0, 4.0: -2.7}, **_FIG3),
+]}
 
 
 def _check(checks, name, passed, detail):
@@ -176,13 +169,13 @@ def _run_figure(cfg: ExperimentConfig, out_dir: str):
                    "slope %.3f (limit %.3f)" % (slope, limit))
             key = (alpha, algo)
             if key in cfg.anchors:
-                ref, factor, tag = cfg.anchors[key]
+                ref, factor = cfg.anchors[key]
                 got = dict(series)[cfg.anchor_N]
                 ratio = got / ref
                 ok = 1.0 / factor <= ratio <= factor
                 _check(checks, "anchor alpha=%g %s N=%d" % (alpha, algo, cfg.anchor_N),
-                       ok, "wce %.6e vs %s %.6e (ratio %.3f, max %.2f)"
-                       % (got, tag, ref, ratio, factor))
+                       ok, "wce %.6e vs reference %.6e (ratio %.3f, max %.2f)"
+                       % (got, ref, ratio, factor))
     return checks
 
 
@@ -196,15 +189,16 @@ def _median_construct_seconds(n: int, s: int, w: ProductWeights):
     return statistics.median(times)
 
 
-def _run_table1(cfg: ExperimentConfig, out_dir: str):
+def _run_table1(out_dir: str):
+    """CBC-DBD times at N = 2^10, 2^12, 2^14 and s = 50, 100, 200 under
+    1/j^2 weights, against the O(s N) cost of Table 1."""
     dims = (50, 100, 200)
     w = ProductWeights(tuple(1.0 / j**2 for j in range(1, max(dims) + 1)))
     grid = {}
-    with open(os.path.join(out_dir, "%s.csv" % cfg.id), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "table1-shape.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["n", "s", "construct_seconds"])
-        for N in cfg.moduli:
-            n = N.bit_length() - 1
+        for n in (10, 12, 14):
             for s in dims:
                 grid[(n, s)] = _median_construct_seconds(n, s, w)
                 wr.writerow([n, s, "%.17g" % grid[(n, s)]])
@@ -218,7 +212,7 @@ def _run_table1(cfg: ExperimentConfig, out_dir: str):
     return checks
 
 
-def _run_oracles(cfg: ExperimentConfig, out_dir: str):
+def _run_oracles(out_dir: str):
     # imported here: the references are needed by this config alone
     from .oracles import cbc_naive, h_naive, vartheta_truncated, wce_bruteforce
 
@@ -278,7 +272,7 @@ def _run_oracles(cfg: ExperimentConfig, out_dir: str):
     dev = float(np.max(np.abs(tab - direct)))
     _check(checks, "vartheta table DFT vs direct", dev < 1e-10, "max dev %.2e" % dev)
 
-    with open(os.path.join(out_dir, "%s.csv" % cfg.id), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "oracle-suite.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["check", "passed", "detail"])
         for c in checks:
@@ -286,19 +280,19 @@ def _run_oracles(cfg: ExperimentConfig, out_dir: str):
     return checks
 
 
+#: id -> run(out_dir), which writes <id>.csv and returns the checks
+_RUNS = {**{cid: functools.partial(_run_figure, cfg) for cid, cfg in CONFIGS.items()},
+         "table1-shape": _run_table1, "oracle-suite": _run_oracles}
+
+
 def run_experiment(config_id: str, out_dir: str) -> dict:
     """Run one config; write <id>.csv and <id>.report.json under out_dir."""
-    if config_id not in CONFIGS:
+    run = _RUNS.get(config_id)
+    if run is None:
         raise ValueError("unknown experiment id %r (known: %s)"
-                         % (config_id, ", ".join(sorted(CONFIGS))))
-    cfg = CONFIGS[config_id]
+                         % (config_id, ", ".join(sorted(_RUNS))))
     os.makedirs(out_dir, exist_ok=True)
-    if config_id == "table1-shape":
-        checks = _run_table1(cfg, out_dir)
-    elif config_id == "oracle-suite":
-        checks = _run_oracles(cfg, out_dir)
-    else:
-        checks = _run_figure(cfg, out_dir)
+    checks = run(out_dir)
     report = {"id": config_id, "passed": all(c["passed"] for c in checks),
               "checks": checks}
     with open(os.path.join(out_dir, "%s.report.json" % config_id), "w") as fh:

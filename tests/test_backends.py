@@ -15,7 +15,7 @@ import latgen
 from latgen import _kernels, _slowpath, cbc
 from latgen.cbc import _gather_score, construct_korobov_cbc, construct_standard_cbc, scoring_plan
 from latgen.kernel import fourier_decay_table, kernel_table, omega_table
-from latgen.numtheory import ColumnSlices
+from latgen.numtheory import ColumnSlices, is_prime
 from latgen.oracles import cbc_naive
 from latgen.weights import ProductWeights, power_weights
 
@@ -139,14 +139,15 @@ def test_fsum_matches_math_fsum(terms):
 
 
 def _record_steps(monkeypatch, step, construct):
-    """(plan, state p, near set, bound) at every scoring step of construct(),
-    run with step as _kernels.cbc_step."""
+    """(plan, state p, near set, bound, scores) at every scoring step of
+    construct(), run with step as _kernels.cbc_step."""
     states = []
 
     def recording(st, b, gamma, score):
         n = step(st, b, gamma, score)
         if score:
-            states.append((st.plan, st.p.copy(), st.near[:n].copy(), float(st.bound[0])))
+            states.append((st.plan, st.p.copy(), st.near[:n].copy(), float(st.bound[0]),
+                           st.sc.copy()))
         return n
 
     monkeypatch.setattr(_kernels, "cbc_step", recording)
@@ -158,7 +159,9 @@ def _record_steps(monkeypatch, step, construct):
 def _near(step, plan, p, monkeypatch):
     """The near set of the state p, scored by step (b = -1 leaves p as it is)."""
     monkeypatch.setattr(_kernels, "cbc_step", step)
-    near = plan.step(plan.start(p), -1, 0.0)
+    st = plan.start()
+    st.p[...] = p
+    near = plan.step(st, -1, 0.0)
     monkeypatch.undo()
     return near
 
@@ -167,38 +170,47 @@ STEP_WEIGHTS = {"0.95^j": lambda j: 0.95**j, "1/j^2": lambda j: 1.0 / j**2,
                 "0.52^j": lambda j: 0.52**j}
 
 
-@pytest.mark.parametrize("weights", sorted(STEP_WEIGHTS))
-@pytest.mark.parametrize("alpha", [2.0, 3.0])
-@pytest.mark.parametrize("N", [2, 4, 8, 61, 127, 131, 256, 509, 2048, 8147])
-def test_cbc_step_backends_agree(N, alpha, weights, monkeypatch):
-    """The compiled fast-CBC step and its numpy twin, on the states of real
-    std-cbc runs: both runs keep the same states, bit for bit (the update is
-    the same element-wise product); where either near set has one candidate
-    the other holds it too, and both hold every candidate of least exact
-    gather sum, the rescore's choice. The states at N = 8147 are checked
-    against the gather sums at the last component only, to keep the test
-    short."""
-    s = 12
-    w = power_weights(ProductWeights(tuple(map(STEP_WEIGHTS[weights], range(1, s + 1)))),
-                      alpha)
-    compiled = _record_steps(monkeypatch, _kernels.cbc_step,
-                             lambda: construct_standard_cbc(N, s, alpha, w))
-    twin = _record_steps(monkeypatch, _slowpath.cbc_step,
-                         lambda: construct_standard_cbc(N, s, alpha, w))
+def _assert_steps_agree(monkeypatch, construct, s, check_all):
+    """Runs construct() with the compiled step and with its numpy twin: both
+    keep the same states and give the same scores, bit for bit (the update
+    is the same element-wise product, and both sum the short tail in the
+    same order); where either near set has one candidate the other holds it
+    too, and both hold every candidate of least exact gather sum, the
+    rescore's choice, at every component if check_all, else at the last."""
+    compiled = _record_steps(monkeypatch, _kernels.cbc_step, construct)
+    twin = _record_steps(monkeypatch, _slowpath.cbc_step, construct)
     assert len(compiled) == len(twin) == s - 1
-    for d, ((plan, p, near, bound), (_, p_twin, near_twin, bound_twin)) in enumerate(
-            zip(compiled, twin), start=2):
+    for d, ((plan, p, near, bound, sc), (_, p_twin, near_twin, bound_twin, sc_twin)) in (
+            enumerate(zip(compiled, twin), start=2)):
         assert np.array_equal(p, p_twin), d
+        assert np.array_equal(sc, sc_twin), d
         assert np.isfinite(bound) and bound == pytest.approx(bound_twin, rel=1e-12), d
         if near.shape[0] == 1 or near_twin.shape[0] == 1:
             assert set(near) & set(near_twin), (d, near, near_twin)
         if near.shape[0] == 1 and near_twin.shape[0] == 1:
             assert near[0] == near_twin[0], d
-        if N < 8000 or d == s:
+        if check_all or d == s:
             q = p[plan.natural]
             vals = np.array([_gather_score(q, plan, b) for b in range(plan.z.shape[0])])
             best = set(np.flatnonzero(vals == vals.min()).tolist())
             assert best <= set(near.tolist()) and best <= set(near_twin.tolist()), d
+
+
+@pytest.mark.parametrize("weights", sorted(STEP_WEIGHTS))
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("N", [2, 4, 8, 61, 127, 131, 256, 509, 2048, 8147])
+def test_cbc_step_backends_agree(N, alpha, weights, monkeypatch):
+    """The compiled fast-CBC step and its numpy twin agree on the states of
+    real std-cbc runs and, at prime N, of Korobov runs under the same
+    weights (_assert_steps_agree). The states at N = 8147 are checked
+    against the gather sums at the last component only, to keep the test
+    short."""
+    s = 12
+    w = power_weights(ProductWeights(tuple(map(STEP_WEIGHTS[weights], range(1, s + 1)))),
+                      alpha)
+    _assert_steps_agree(monkeypatch, lambda: construct_standard_cbc(N, s, alpha, w), s, N < 8000)
+    if N > 2 and is_prime(N):
+        _assert_steps_agree(monkeypatch, lambda: construct_korobov_cbc(N, s, w), s, N < 8000)
 
 
 @pytest.mark.parametrize("N", [2, 61, 256, 131, 2048])
@@ -221,7 +233,8 @@ def test_cbc_step_reports_non_finite_scores(N, monkeypatch):
         states.append(-p)
     with np.errstate(over="ignore", invalid="ignore"):
         for p in states:
-            st = plan.start(p)
+            st = plan.start()
+            st.p[...] = p
             assert plan.step(st, -1, 0.0) is None, p
             assert np.isnan(st.sc).any() or not np.isfinite(st.sc.min()), p
             assert _near(_slowpath.cbc_step, plan, p, monkeypatch) is None, p
@@ -261,7 +274,7 @@ def test_cbc_step_bound_stays_finite_for_large_running_products(N, s, monkeypatc
             return _gather_score(q, plan, b)
 
         monkeypatch.setattr(cbc, "_gather_score", counting)
-        bounds = [bound for _, _, _, bound in _record_steps(
+        bounds = [bound for _, _, _, bound, _ in _record_steps(
             monkeypatch, step, lambda: calls.append(construct_korobov_cbc(N, s, w)))]
         vector = calls.pop()
         assert vector == naive

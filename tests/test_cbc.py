@@ -62,7 +62,8 @@ def _slot_residues(N):
 def _scores(plan, p):
     """The plan's scores and bound on a copy of the state p, which the step
     leaves as it is (b = -1)."""
-    st = plan.start(p)
+    st = plan.start()
+    st.p[...] = p
     plan.step(st, -1, 0.0)
     return st.sc, float(st.bound[0])
 

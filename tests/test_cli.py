@@ -116,7 +116,7 @@ def test_error_with_bounds_off_powers_of_two(tmp_path, capsys):
                  "--with-bounds", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"N", "s", "alpha", "wce", "bound_cbc"}
-    assert report["bound_cbc"] == bound_thm_cbc(61, W10, 4)
+    assert report["bound_cbc"] == bound_thm_cbc(61, ProductWeights(W10.gammas[:4]))
     write_vector(vec, GeneratingVector(12, (1, 5)))
     assert main(["error", "--vector", vec, "--alpha", "2", "--weights", "product:1/j^2",
                  "--with-bounds"]) == 2

@@ -123,7 +123,7 @@ def test_bounds_decrease_roughly_like_log_over_N():
     assert all(b < a for a, b in zip(vals, vals[1:]))
     # for a fixed low dimension the polylog factor is mild: quadrupling N
     # from 2^10 to 2^12 must cut the bound by more than half
-    small = [bound_thm_existence(1 << n, W, s=2) for n in (10, 12)]
+    small = [bound_thm_existence(1 << n, ProductWeights(W.gammas[:2])) for n in (10, 12)]
     assert small[1] < small[0] / 2
 
 
@@ -133,11 +133,11 @@ def test_bound_thm_cbcdbd_rejects_non_pow2():
 
 
 def test_bound_dimension_handling():
-    full = bound_thm_existence(64, W)
-    assert bound_thm_existence(64, W, s=W.s) == full
-    assert bound_thm_existence(64, W, s=2) < full
-    with pytest.raises(ValueError):
-        bound_thm_existence(64, W, s=W.s + 1)
+    """The bounds run over the coordinates of the weights: fewer weights,
+    fewer subsets, a smaller bound."""
+    first = ProductWeights(W.gammas[:2])
+    for bound, N in ((bound_thm_existence, 64), (bound_thm_cbcdbd, 64), (bound_thm_cbc, 61)):
+        assert bound(N, first) < bound(N, W)
 
 
 def test_general_weight_bounds_match_product_closed_form():
@@ -250,25 +250,24 @@ def test_theorem_bounds_equal_the_one_point_column_loop(monkeypatch):
     cases = []
     for s in SUM_GRID_DIMS:
         for gamma in SUM_GRID_WEIGHTS:
-            cases.append((ProductWeights(tuple(gamma(j) for j in range(1, s + 1))), s))
-    cases.append((ProductWeights(W.gammas), 4))  # fewer dimensions than weights
-    cases.append((GeneralWeights.from_product(ProductWeights((0.7, 0.3, 0.2))), 3))
+            cases.append(ProductWeights(tuple(gamma(j) for j in range(1, s + 1))))
+    cases.append(GeneralWeights.from_product(ProductWeights((0.7, 0.3, 0.2))))
 
     def values():
         out = []
-        for w, s in cases:
+        for w in cases:
             for N in (2, 16, 1024, 1 << 16):
-                out += [bound_thm_cbcdbd(N, w, s), bound_thm_existence(N, w, s)]
+                out += [bound_thm_cbcdbd(N, w), bound_thm_existence(N, w)]
             for N in (3, 61, 16381):
-                out += [bound_thm_cbc(N, w, s), bound_thm_existence(N, w, s)]
+                out += [bound_thm_cbc(N, w), bound_thm_existence(N, w)]
         return out
 
     got = values()
 
-    def plain_power_sum(w, s, a):
+    def plain_power_sum(w, a):
         if isinstance(w, GeneralWeights):
-            return subset_product_sum(w, [np.array([a])] * s)
-        return _plain_product_sum(w, [np.array([a])] * s)
+            return subset_product_sum(w, [np.array([a])] * w.s)
+        return _plain_product_sum(w, [np.array([a])] * w.s)
 
     monkeypatch.setattr(error, "_subset_power_sum", plain_power_sum)
     assert got == values()

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -10,13 +11,15 @@ from latgen.numtheory import GeneratingVector
 
 
 def test_config_registry_shape():
-    expected = {
-        "fig2a", "fig2b", "fig2c", "fig2d",
-        "fig3a", "fig3b", "fig3c", "fig3d",
-        "table1-shape", "oracle-suite",
-    }
-    assert set(CONFIGS) == expected
+    """CONFIGS holds the eight figures; run_experiment runs table1-shape and
+    oracle-suite too, and lists all ten ids when given an unknown one."""
+    figures = ["fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d"]
+    assert sorted(CONFIGS) == figures
     assert DIMENSION == 100
+    known = ", ".join(sorted(figures + ["table1-shape", "oracle-suite"]))
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown experiment id 'fig9z' (known: %s)" % known)):
+        run_experiment("fig9z", "/tmp")
 
 
 @pytest.mark.parametrize("cid", ["fig2a", "fig2b", "fig2c", "fig2d"])
@@ -37,20 +40,22 @@ def test_prime_figure_configs(cid):
     assert cfg.moduli[0] == 61 and cfg.moduli[-1] == 16381
 
 
-def test_anchor_entries_have_value_factor_tag():
+def test_anchor_entries_have_value_and_factor():
+    """Every figure anchors each (alpha, algorithm) within a factor 2 of its
+    reference value, but the entries each figure declares wider or tighter."""
+    declared = {("fig3a", 2.0, "std-cbc"): 1.1,
+                ("fig3c", 3.0, "korobov-cbc"): 4.5, ("fig3c", 4.0, "korobov-cbc"): 4.5}
     for cfg in CONFIGS.values():
-        for (alpha, algo), (value, factor, tag) in cfg.anchors.items():
+        assert set(cfg.anchors) == {(a, algo) for a in cfg.alphas for algo in cfg.algorithms}
+        for (alpha, algo), (value, factor) in cfg.anchors.items():
             assert value > 0.0
-            assert factor >= 1.0
-            assert tag == "reference"
-            assert algo in cfg.algorithms
-            assert alpha in cfg.alphas
+            assert factor == declared.get((cfg.id, alpha, algo), 2.0)
+    assert {cid: cfg.slope_overrides for cid, cfg in CONFIGS.items() if cfg.slope_overrides} == {
+        "fig3c": {(3.0, "korobov-cbc"): -0.45, (4.0, "korobov-cbc"): -0.30}}
 
 
 def test_every_figure_alpha_has_a_slope_limit():
-    for cid, cfg in CONFIGS.items():
-        if not cid.startswith("fig"):
-            continue
+    for cfg in CONFIGS.values():
         for alpha in cfg.alphas:
             assert alpha in cfg.slope_max
             assert cfg.slope_max[alpha] < 0.0
@@ -116,8 +121,7 @@ def test_run_figure_checks_slopes_anchors_and_the_fit_floor(tmp_path, monkeypatc
     cfg = ExperimentConfig(
         id="figx", algorithms=("fast", "slow"), weights="product:1/j^2", alphas=(2.0, 3.0),
         moduli=(64, 128, 256), anchor_N=128,
-        anchors={(2.0, "fast"): (1.5 / 128**2, 2.0, "reference"),
-                 (2.0, "slow"): (10.0 / 128, 2.0, "reference")},
+        anchors={(2.0, "fast"): (1.5 / 128**2, 2.0), (2.0, "slow"): (10.0 / 128, 2.0)},
         slope_max={2.0: -1.5, 3.0: -1.5}, slope_overrides={(3.0, "slow"): -0.5})
     checks = {c["name"]: (c["passed"], c["detail"])
               for c in experiments._run_figure(cfg, str(tmp_path))}

@@ -67,10 +67,10 @@ def values(v: GeneratingVector, spec, layout):
     w = _weights(spec, v.s)
     out = {"e alpha=%g" % a: wce_product(v, a, w, layout) for a in ALPHAS}
     out["T"] = T_quantity(v, w, layout)
-    out["bound_thm_existence"] = bound_thm_existence(v.N, w, v.s)
-    out["bound_thm_cbc"] = bound_thm_cbc(v.N, w, v.s)
+    out["bound_thm_existence"] = bound_thm_existence(v.N, w)
+    out["bound_thm_cbc"] = bound_thm_cbc(v.N, w)
     if v.N & (v.N - 1) == 0:
-        out["bound_thm_cbcdbd"] = bound_thm_cbcdbd(v.N, w, v.s)
+        out["bound_thm_cbcdbd"] = bound_thm_cbcdbd(v.N, w)
     return out
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from latgen.numtheory import ColumnSlices
 from latgen.oracles import weight_of
 from latgen.weights import (
     GeneralWeights,
@@ -111,6 +112,8 @@ def test_subset_product_sum_matches_subset_loop():
     g = GeneralWeights.from_product(w)
     assert subset_product_sum(g, cols) == pytest.approx(loop, rel=1e-13)
     assert subset_product_sum(w, []) == 0.0 == subset_product_sum(g, [])
+    no_column = ColumnSlices(np.ones(4), np.zeros((0, 1), dtype=np.int64), np.array([4]))
+    assert subset_product_sum(w, no_column) == 0.0
 
 
 def test_weight_spec_formulas():
