@@ -161,14 +161,16 @@ class _StepArgs(ctypes.Structure):
 
 
 def _step_args(st) -> _StepArgs:
-    """The kernel's view of the step state st, once every array it reads or
-    writes is known to have its shape: the kernel reads them unchecked."""
+    """The kernel's view of the step state st and of its plan, whose
+    constants (ct and the bound's factors) it reads, once every array it
+    reads or writes is known to have its shape: the kernel reads them
+    unchecked."""
     plan = st.plan
     P, m = plan.rows.shape
     Q = st.sc.shape[0]
     n = plan.short + m
     keep = [np.ascontiguousarray(a, dtype=np.float64)
-            for a in (plan.rows, st.ct, plan.short_counts)]
+            for a in (plan.rows, plan.ct, plan.short_counts)]
     rows, ct, counts = keep
     # with no long level the short tail's P scores are all Q of them
     ok = (P > 0 and Q % P == 0 and (plan.levels or Q == P) and ct.shape == (m, P)
@@ -189,7 +191,7 @@ def _step_args(st) -> _StepArgs:
     args = _StepArgs(st.p.ctypes.data, st.sc.ctypes.data, st.near.ctypes.data,
                      st.bound.ctypes.data, st.part.ctypes.data, ctypes.addressof(levels),
                      rows.ctypes.data, ct.ctypes.data, counts.ctypes.data, len(values), Q, P,
-                     m, plan.short, st.tfactor, st.sfactor, plan.row_norm)
+                     m, plan.short, plan.tfactor, plan.sfactor, plan.row_norm)
     args.keep = (keep, values, levels)  # alive as long as the struct
     return args
 

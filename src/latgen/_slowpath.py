@@ -186,12 +186,13 @@ def cbc_step(st, b, gamma, score):
     0 <= b < len(st.sc), first st.p *= 1 + gamma * st.plan.column(b), the
     same elementwise operations as the compiled step's update; b = -1 leaves
     st.p as it is. Then, if score is true, the short tail's scores
-    sum_j st.ct[j] * p[short + j], summed over j = 0, 1, ... as the compiled
-    step sums them, are added to the transform's scores in st.sc
-    (written there when the plan has no long level), the rounding bound
-    goes to st.bound[0] and the near set, the candidates within twice the
-    bound of the least score, to st.near. Returns the size of the near set;
-    0 if the scores are not finite or score is false."""
+    sum_j plan.ct[j] * p[short + j], summed over j = 0, 1, ... as the
+    compiled step sums them, are added to the transform's scores in st.sc
+    (written there when the plan has no long level), the rounding bound,
+    from the plan's tfactor and sfactor, goes to st.bound[0] and the near
+    set, the candidates within twice the bound of the least score, to
+    st.near. Returns the size of the near set; 0 if the scores are not
+    finite or score is false."""
     plan, p, sc = st.plan, st.p, st.sc
     if not -1 <= b < sc.shape[0]:
         raise ValueError("candidate %d is out of range" % b)
@@ -205,16 +206,16 @@ def cbc_step(st, b, gamma, score):
         weight = 0.0
         for lv in plan.levels:
             weight += norm(p[lv.start : lv.stop]) * lv.kernel_norm
-        bound = st.tfactor * weight
+        bound = plan.tfactor * weight
     if ps.shape[0]:
         # numpy reduces over the outer axis one row after another, j = 0..m-1:
         # the compiled step's order, so the scores are its doubles
-        part = np.add.reduce(st.ct * ps[:, None], axis=0)
+        part = np.add.reduce(plan.ct * ps[:, None], axis=0)
         if plan.levels:
             sc.reshape(-1, part.shape[0])[...] += part
         else:
             sc[...] = part
-        bound += st.sfactor * norm(ps * plan.short_counts) * plan.row_norm
+        bound += plan.sfactor * norm(ps * plan.short_counts) * plan.row_norm
     st.bound[0] = bound
     lo = float(sc[sc.argmin()])  # the first NaN, if there is one
     if not math.isfinite(lo):

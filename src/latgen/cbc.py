@@ -78,7 +78,7 @@ from . import _kernels
 from ._slowpath import norm
 from .kernel import fourier_decay_table, omega_table
 from .numtheory import GeneratingVector, UnitColumns, is_prime, unit_layout
-from .weights import ProductWeights
+from .weights import ProductWeights, leading_gammas
 
 __all__ = [
     "construct_korobov_cbc",
@@ -139,7 +139,22 @@ class ScoringPlan:
     tab[a z mod N] on the same slots for z = z[b], read from levels and rows.
     A _StepState holds one construction's p; step(st, b, gamma) updates it and
     scores every candidate, and st.sc[b] approximates the exact score
-    _gather_score(st.p[natural], plan, b) within st.bound[0].
+    _gather_score(st.p[natural], plan, b) within st.bound[0]. ct, tfactor
+    and sfactor depend on the plan alone, so they are computed here once.
+
+    ct holds the short-tail rows times their counts, transposed; the counts
+    are 1 or 2, so folding them into the rows is exact. The bound has two
+    terms. Per transform, each entry of irfft(rfft(a) * rfft(b)) is within
+    log2(size) * eta * ||a||_2 * ||b||_2 of exact (Cauchy-Schwarz on the
+    spectra; eta <= 8 eps covers a butterfly and its twiddle's error). Three
+    transforms take part: a's, the cached kernel's and the inverse, so the
+    term is tfactor times the sum over the long levels of ||a||_2 *
+    kernel_norm. The measured distance to the gather sum stays below 2% of
+    it. The fold fs = p[short:] * short_counts, the m-term dot product in any
+    summation order and the addition to the transform's score leave each
+    entry within gamma_(m+2) sum_i |r_i f_i| of exact, and
+    gamma_(m+2) <= (m + 1) eps = sfactor; Cauchy-Schwarz caps the sum by
+    ||rows[b]||_2 ||fs||_2, and every row has the first one's norm, row_norm.
     """
 
     z: np.ndarray  # z[b] is the one of +-g^(-b) (+-5^(-b) for N = 2^n) below N/2
@@ -151,6 +166,9 @@ class ScoringPlan:
     short_counts: np.ndarray  # residues per slot of p[short:]
     rows: np.ndarray  # rows[b] @ (p[short:] * short_counts) is their score at rotation b
     row_norm: float  # ||rows[0]||_2: each row is a rotation of the first, block by block
+    ct: np.ndarray  # (rows * short_counts).T, C-contiguous: the short tail as the step reads it
+    tfactor: float  # 3 * 8 eps log2(size), the transforms' factor of the bound
+    sfactor: float  # (m + 1) eps for the m slots of p[short:], the short tail's factor
 
     def column(self, b: int) -> np.ndarray:
         """tab[a z mod N] at each slot's residue a, for z = z[b], which
@@ -198,28 +216,13 @@ class ScoringPlan:
 class _StepState:
     """One construction's running product on a plan's slots, and the buffers
     of _kernels.cbc_step: sc[b] is the score of plan.z[b], bound[0] its
-    rounding bound and near[:n] the near set, and part is scratch. ct holds
-    the plan's short-tail rows times their counts, transposed; the counts
-    are 1 or 2, so folding them into the rows is exact. handle is the
+    rounding bound (see ScoringPlan) and near[:n] the near set, and part is
+    scratch. Everything else the step reads is the plan's. handle is the
     compiled kernel's view of these arrays, made on its first call; no
     array is replaced after that.
-
-    The bound has two terms. Per transform, each entry of
-    irfft(rfft(a) * rfft(b)) is within log2(size) * eta * ||a||_2 * ||b||_2
-    of exact (Cauchy-Schwarz on the spectra; eta <= 8 eps covers a butterfly
-    and its twiddle's error). Three transforms take part: a's, the cached
-    kernel's and the inverse, so the term is tfactor times the sum over the
-    long levels of ||a||_2 * kernel_norm. The measured distance to the
-    gather sum stays below 2% of it. The fold fs = p[short:] * short_counts,
-    the m-term dot product in any summation order and the addition to the
-    transform's score leave each entry within gamma_(m+2) sum_i |r_i f_i| of
-    exact, and gamma_(m+2) <= (m + 1) eps = sfactor; Cauchy-Schwarz caps the
-    sum by ||rows[b]||_2 ||fs||_2, and every row has the first one's norm,
-    row_norm.
     """
 
-    __slots__ = ("plan", "p", "sc", "near", "bound", "part", "ct", "tfactor", "sfactor",
-                 "handle")
+    __slots__ = ("plan", "p", "sc", "near", "bound", "part", "handle")
 
     def __init__(self, plan: ScoringPlan):
         P, m = plan.rows.shape
@@ -230,9 +233,6 @@ class _StepState:
         self.near = np.zeros(Q, dtype=np.int64)
         self.bound = np.zeros(1)
         self.part = np.zeros(P)
-        self.ct = np.ascontiguousarray((plan.rows * plan.short_counts).T)
-        self.tfactor = 3 * 8 * _EPS * math.log2(max(plan.size, 2))
-        self.sfactor = (m + 1) * _EPS
         self.handle = None
 
 
@@ -248,7 +248,8 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     row table built here in the same order: row b is each short block's
     doubled values (UnitColumns.doubled) from -b mod L, then the fixed
     residues' values. N = 2 and 4 have no block; their one candidate is
-    z = 1.
+    z = 1. The step's constants that depend on the plan alone, ct, tfactor
+    and sfactor, are computed here too (see ScoringPlan).
     """
     layout = unit_layout(N)
     cols = UnitColumns(layout, tab)
@@ -274,10 +275,13 @@ def scoring_plan(N: int, tab: np.ndarray) -> ScoringPlan:
     rows = np.hstack([doubled[-b % L + np.arange(L)] for doubled, L in short]
                      + [np.broadcast_to(fixed, (P, fixed.shape[0]))])
     size, offset = spectra[0][:2] if spectra else (0, 0)
+    short_counts = layout.counts[start:-1]
     return ScoringPlan(z=np.minimum(zr, N - zr), natural=layout.slot[1:],
                        levels=tuple(levels), size=size, offset=offset, short=start,
-                       short_counts=layout.counts[start:-1], rows=rows,
-                       row_norm=norm(rows[0]))
+                       short_counts=short_counts, rows=rows, row_norm=norm(rows[0]),
+                       ct=np.ascontiguousarray((rows * short_counts).T),
+                       tfactor=3 * 8 * _EPS * math.log2(max(size, 2)),
+                       sfactor=(rows.shape[1] + 1) * _EPS)
 
 
 def _rescore(plan: ScoringPlan, p: np.ndarray, near: np.ndarray):
@@ -321,14 +325,11 @@ def _cbc_greedy(N: int, s: int, gammas: Tuple[float, ...], tab: np.ndarray):
 
 
 def construct_korobov_cbc(N: int, s: int, w: ProductWeights) -> GeneratingVector:
-    """Greedy per-component minimization of the log-sine quality V, prime N."""
+    """Greedy per-component minimization of the log-sine quality V, prime N.
+    weights.leading_gammas checks s and w; omega_table checks N's size."""
     if not is_prime(N) or N < 3:
         raise ValueError("N must be prime (>= 3)")
-    if s < 1:
-        raise ValueError("need s >= 1")
-    if w.s < s:
-        raise ValueError("weight sequence shorter than requested dimension")
-    return _cbc_greedy(N, s, w.gammas[:s], omega_table(N))
+    return _cbc_greedy(N, s, leading_gammas(w, s), omega_table(N))
 
 
 def construct_standard_cbc(
@@ -338,14 +339,10 @@ def construct_standard_cbc(
 
     w_alpha is the weight sequence as it should enter the error (i.e. already
     raised to the power alpha if that is intended). N must be prime or 2^n.
+    weights.leading_gammas checks s and w_alpha; the decay table, built
+    before any scoring, checks N's size and alpha > 1.
     """
-    if alpha <= 1.0:
-        raise ValueError("requires alpha > 1")
-    if s < 1:
-        raise ValueError("need s >= 1")
-    if w_alpha.s < s:
-        raise ValueError("weight sequence shorter than requested dimension")
     power_of_two = N & (N - 1) == 0 and N >= 2
     if not power_of_two and not (is_prime(N) and N >= 3):
         raise ValueError("N must be prime or a power of two")
-    return _cbc_greedy(N, s, w_alpha.gammas[:s], fourier_decay_table(alpha, N))
+    return _cbc_greedy(N, s, leading_gammas(w_alpha, s), fourier_decay_table(alpha, N))

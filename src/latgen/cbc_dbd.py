@@ -20,7 +20,7 @@ The quality H of the finished vector is error.H_quantity.
 from . import _kernels
 from .kernel import kernel_table
 from .numtheory import GeneratingVector
-from .weights import ProductWeights
+from .weights import ProductWeights, leading_gammas
 
 __all__ = ["construct_cbc_dbd"]
 
@@ -45,15 +45,16 @@ def construct_cbc_dbd(n: int, s: int, w: ProductWeights) -> GeneratingVector:
     than TIE_RTOL * |s0|, with s0 the score of bit 0, so a tie goes to bit 0
     on every backend unless the rounding in the difference reaches that margin.
     A score that leaves double range raises a ValueError naming the component.
+    weights.leading_gammas checks s and w; the kernel table, built before
+    any other array of length N, checks N's size. s = 1 builds no table and
+    returns z = (1).
     """
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
-    if w.s < s:
-        raise ValueError("weight sequence shorter than requested dimension")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    gammas = leading_gammas(w, s)
     z = [1] * s
     if s >= 2 and n >= 2:
-        built = _kernels.dbd_construct(kernel_table(1 << n), n, w.gammas[0], w.gammas[1:s],
-                                       TIE_RTOL)
+        built = _kernels.dbd_construct(kernel_table(1 << n), n, gammas[0], gammas[1:], TIE_RTOL)
         if len(built) < s - 1:
             raise ValueError(
                 "the CBC-DBD scores for z_%d left double range: the weights are too large"

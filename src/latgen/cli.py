@@ -25,7 +25,6 @@ from .error import (
 )
 from .numtheory import (
     GeneratingVector,
-    check_modulus,
     is_prime,
     lattice_points,
     prev_prime,
@@ -125,9 +124,11 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------- error
 
 def cmd_error(args) -> int:
+    """The quality report of a stored vector. unit_layout, built before any
+    table, refuses a modulus >= 2^31, and the decay table an alpha that is
+    not finite and > 1."""
     v = read_vector(args.vector)
     args.modulus = v.N
-    check_modulus(v.N)
     w = parse_weight_spec(args.weights, v.s)
     w_eval = w
     if args.apply_power:

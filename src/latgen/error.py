@@ -53,7 +53,8 @@ def lattice_kernel_sum(v: GeneratingVector, tab: np.ndarray, w, layout=None) -> 
     latgen.kernel). For product weights the per-k products are the doubles
     of the natural order, and their sum is one correctly rounded
     _kernels.fsum, the same double on either backend.
-    layout is unit_layout(v.N), built here when not given."""
+    layout is unit_layout(v.N), built here when not given; either way
+    numtheory.check_modulus has refused v.N >= 2^31 before any work."""
     if layout is None:
         layout = unit_layout(v.N)
     elif layout.N != v.N:
@@ -65,10 +66,9 @@ def lattice_kernel_sum(v: GeneratingVector, tab: np.ndarray, w, layout=None) -> 
 def wce_product(v: GeneratingVector, alpha: float, w, layout=None) -> float:
     """e = -1 + (1/N) sum_{k=0}^{N-1} prod_j (1 + gamma_j * D_alpha({k z_j / N}))
     where D_alpha is the two-sided Fourier decay sum (D_alpha(0) = 2 zeta(alpha)).
-    layout as for lattice_kernel_sum.
+    layout as for lattice_kernel_sum. The decay table, built first, refuses
+    an alpha that is not finite and > 1.
     """
-    if alpha <= 1.0:
-        raise ValueError("requires alpha > 1")
     return lattice_kernel_sum(v, fourier_decay_table(alpha, v.N), w, layout) / v.N
 
 

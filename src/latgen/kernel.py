@@ -19,9 +19,13 @@ residue a = k z mod N, exactly symmetric (tab[a] == tab[N - a]). The log-sine
 tables, which are undefined at a = 0, store tab[0] = 0 there. vartheta_table
 and the Hurwitz fold of fourier_decay_table fold their series by residue
 class, and cosine_dft turns the fold into values, one numpy.fft transform.
-Each refuses N < 2, and N >= 2^31 (numtheory.check_modulus) before it
-allocates, so a library call at such a modulus fails as the CLI does, with
-a ValueError.
+numtheory.check_modulus is their one modulus check: each refuses N < 2 and
+N >= 2^31 with it before it allocates. A lattice sum or construction
+builds its table or numtheory.unit_layout (which makes the same check)
+before any other array of length N, so at such a modulus it fails there
+with a ValueError, in the library as in the CLI. Likewise _check_alpha, called by
+fourier_decay_table, is the one check of the smoothness alpha > 1 of the
+worst-case error and the standard CBC.
 """
 
 import math
@@ -61,21 +65,13 @@ def cosine_dft(c) -> np.ndarray:
     return tab
 
 
-def _check_table_modulus(N: int):
-    """Refuse a modulus that has no table, N < 2, or one too large for any
-    (numtheory.check_modulus), before anything is allocated."""
-    check_modulus(N)
-    if N < 2:
-        raise ValueError("need N >= 2")
-
-
 def kernel_table(N: int) -> np.ndarray:
     """tab[a] = ln(1/sin^2(pi a / N)) for a = 1..N-1, indexed by residue, tab[0] = 0.
 
     The symmetry tab[a] == tab[N - a] holds exactly as stored, which
     downstream code relies on (gather sums for z and N-z come out bit-equal).
     """
-    _check_table_modulus(N)
+    check_modulus(N)
     # -2 ln(sin(pi k / N)), k = 1..N-1, in one buffer: the operations of the
     # expression in its order, without a temporary per step.
     vals = np.arange(1, N, dtype=np.float64)
@@ -105,10 +101,10 @@ def vartheta_table(N: int, alpha: float = 1.0) -> np.ndarray:
 
     Folding m by residue class gives coefficients c_res = res^-alpha +
     (N-res)^-alpha, so one length-N DFT produces every residue's value;
-    tab[0] = 2 sum_{m=1}^{N-1} m^-alpha.
+    tab[0] = 2 sum_{m=1}^{N-1} m^-alpha. Needs alpha >= 1 (NaN is refused).
     """
-    _check_table_modulus(N)
-    if alpha < 1.0:
+    check_modulus(N)
+    if not alpha >= 1.0:
         raise ValueError("requires alpha >= 1")
     p = np.arange(1, N, dtype=float) ** (-alpha)
     c = np.empty(N)
@@ -143,6 +139,9 @@ def bernoulli_poly(alpha: int, x):
 
 
 def _check_alpha(alpha):
+    """Refuse a smoothness that is not finite and > 1 (NaN included): the
+    one such check, made by the decay table that every worst-case error and
+    standard CBC builds first."""
     if not (math.isfinite(alpha) and alpha > 1.0):
         raise ValueError("requires finite alpha > 1, got alpha = %r" % (alpha,))
 
@@ -175,7 +174,7 @@ def fourier_decay_table(alpha: float, N: int) -> np.ndarray:
     so the result is far more accurate than plain truncation can reach. The
     fold needs N^alpha within double range: a larger alpha raises ValueError.
     """
-    _check_table_modulus(N)
+    check_modulus(N)
     _check_alpha(alpha)
     if alpha in _BERNOULLI_COEFFS:
         # (-1)^(alpha/2+1) (2 pi)^alpha B_alpha(a/N) / alpha!

@@ -47,7 +47,11 @@ MODULUS_LIMIT = 1 << 31
 
 
 def check_modulus(N: int):
-    """Refuse a modulus too large for any table before one is allocated."""
+    """Refuse a modulus that has no residue table or layout, N < 2, or one
+    too large for any, before anything is allocated: the one modulus check
+    of the tables (latgen.kernel) and of unit_layout."""
+    if N < 2:
+        raise ValueError("need N >= 2")
     if N >= MODULUS_LIMIT:
         raise ValueError("N = %d is too large: need N < 2^31" % N)
 
@@ -211,9 +215,9 @@ class UnitLayout:
 
 
 def unit_layout(N: int) -> UnitLayout:
-    """The unit layout of the residues mod N (see UnitLayout)."""
-    if not 2 <= N < MODULUS_LIMIT:
-        raise ValueError("need 2 <= N < 2^31")
+    """The unit layout of the residues mod N (see UnitLayout); check_modulus
+    refuses N first."""
+    check_modulus(N)
     if N & (N - 1) == 0:
         pw = _powers(5, max(N // 4, 1), N)
         blocks = tuple((pw[: N >> (c + 2)] & ((N >> c) - 1)) << c

@@ -12,7 +12,6 @@ import time
 from .cbc import construct_korobov_cbc, construct_standard_cbc
 from .cbc_dbd import construct_cbc_dbd
 from .error import wce_product
-from .numtheory import check_modulus
 from .weights import ProductWeights, Weights, parse_weight_spec, power_weights
 
 __all__ = ["CSV_HEADER", "fmt", "construct", "sweep_row", "write_sweep_csv"]
@@ -28,8 +27,9 @@ def fmt(x: float) -> str:
 
 def construct(algo: str, N: int, s: int, w: Weights, alpha):
     """The vector of algorithm algo ("cbc-dbd", "korobov-cbc" or "std-cbc")
-    under the weights w, which must be product weights."""
-    check_modulus(N)
+    under the weights w, which must be product weights. Each construction's
+    table refuses a modulus >= 2^31 before it allocates (cbc-dbd at s = 1
+    builds none)."""
     if not isinstance(w, ProductWeights):
         raise ValueError("%s requires product weights" % (algo,))
     if algo == "cbc-dbd":

@@ -20,6 +20,7 @@ from .numtheory import ColumnSlices
 __all__ = [
     "ProductWeights",
     "GeneralWeights",
+    "leading_gammas",
     "parse_weight_spec",
     "power_weights",
     "subset_product_sum",
@@ -98,12 +99,26 @@ class GeneralWeights:
 Weights = Union[ProductWeights, GeneralWeights]
 
 
+def leading_gammas(w: ProductWeights, s: int) -> Tuple[float, ...]:
+    """gamma_1..gamma_s of w, the weights of a construction in dimension s:
+    the one check of the dimension and of the weights' length."""
+    if s < 1:
+        raise ValueError("need s >= 1")
+    if w.s < s:
+        raise ValueError("weight sequence shorter than requested dimension")
+    return w.gammas[:s]
+
+
 def _power(g: float, p: float, j: int) -> float:
-    """g**p as gamma_j, or a ValueError if it leaves double range."""
+    """g**p as gamma_j, or a ValueError if it leaves double range: overflows,
+    or rounds to 0 from a nonzero g."""
     try:
-        return g**p
+        r = g**p
     except OverflowError:
         raise ValueError("gamma_%d = %r^%r overflows double range" % (j, g, p)) from None
+    if r == 0.0 and g != 0.0:
+        raise ValueError("gamma_%d = %r^%r underflows double range" % (j, g, p))
+    return r
 
 
 def power_weights(w: ProductWeights, alpha: float) -> ProductWeights:

@@ -280,7 +280,7 @@ def test_slot_state_equals_the_natural_order_product(N, alpha, w, monkeypatch):
         assert lv.kernel_norm == 2 * norm and np.array_equal(lv.K, 2 * lv.step * K)
         assert np.array_equal(lv.values, np.tile(tab[res[lv.start : lv.stop]], 2))
     ref_plan = dataclasses.replace(
-        plan, short_counts=np.ones_like(plan.short_counts),
+        plan, short_counts=np.ones_like(plan.short_counts), ct=np.ascontiguousarray(plan.rows.T),
         levels=tuple(dataclasses.replace(lv, K=lv.K / 2, kernel_norm=lv.kernel_norm / 2)
                      for lv in plan.levels))
     k = np.arange(1, N)

@@ -542,11 +542,16 @@ def test_unusable_alpha_exits_2_with_one_line(tmp_path, capsys, argv):
       "--weights", "product:c^j:1e3"], "left double range after component 14"),
     (["construct", "--algo", "cbc-dbd", "--n", "10", "--s", "100",
       "--weights", "product:c^j:1e3"], "scores for z_14 left double range"),
-], ids=["construct nan", "error nan", "std-cbc gamma^alpha", "korobov-cbc q", "cbc-dbd scores"])
+    (["sweep", "--algo", "cbc-dbd", "--weights", "product:c^j:0.1", "--alpha-list", "4",
+      "--s", "100", "--n-range", "6..6"], "^4.0 underflows double range"),
+    (["construct", "--algo", "cbc-dbd", "--n", "6", "--s", "110",
+      "--weights", "product:c^j:0.001"], "gamma_108 = 0.001^108 underflows double range"),
+], ids=["construct nan", "error nan", "std-cbc gamma^alpha", "korobov-cbc q", "cbc-dbd scores",
+        "sweep gamma^alpha underflow", "c^j underflow"])
 def test_unusable_weights_exit_2_with_one_line(tmp_path, capsys, argv, cause):
-    """A NaN weight, a weight whose alpha-th power overflows, or weights under
-    which the CBC running product leaves double range end in one line naming
-    the cause, and no numpy warning on the way."""
+    """A NaN weight, a weight whose power overflows or underflows, or weights
+    under which the CBC running product leaves double range end in one line
+    naming the cause, and no numpy warning on the way."""
     vec = str(tmp_path / "v.txt")
     write_vector(vec, GeneratingVector(64, (1, 27, 13)))
     weights = tmp_path / "w.txt"

@@ -229,9 +229,10 @@ def test_cosine_dft_rejects_bad_input():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="RLIMIT_AS caps the address space only on Linux")
 def test_library_refuses_huge_moduli_before_allocating():
-    """Every table refuses N >= 2^31 before it allocates, so the quality sums
-    and the constructions do too: under a 2 GiB address-space limit each
-    call raises the modulus ValueError, not a MemoryError."""
+    """Every table and the unit layout refuse N >= 2^31 before they
+    allocate, so the quality sums and the constructions do too: under a
+    2 GiB address-space limit each call raises the modulus ValueError, not a
+    MemoryError."""
     import resource
 
     def cap():
@@ -240,8 +241,8 @@ def test_library_refuses_huge_moduli_before_allocating():
     script = """
 from latgen.cbc import construct_korobov_cbc, construct_standard_cbc
 from latgen.cbc_dbd import construct_cbc_dbd
-from latgen.error import H_quantity, T_quantity, V_quality, wce_product
-from latgen.numtheory import GeneratingVector
+from latgen.error import H_quantity, T_quantity, V_quality, lattice_kernel_sum, wce_product
+from latgen.numtheory import GeneratingVector, unit_layout
 from latgen.weights import ProductWeights
 
 w = ProductWeights((1.0, 0.25))
@@ -249,7 +250,8 @@ v = GeneratingVector(2**33, (1, 3))
 calls = [lambda: wce_product(v, 2.0, w), lambda: T_quantity(v, w),
          lambda: H_quantity(v, w), lambda: V_quality(v, w),
          lambda: construct_cbc_dbd(33, 2, w), lambda: construct_standard_cbc(2**33, 2, 2.0, w),
-         lambda: construct_korobov_cbc(2147483659, 2, w)]
+         lambda: construct_korobov_cbc(2147483659, 2, w), lambda: unit_layout(2**33),
+         lambda: lattice_kernel_sum(v, [0.0], w)]
 for call in calls:
     try:
         call()
@@ -263,4 +265,4 @@ for call in calls:
                          env=env, preexec_fn=cap, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 7 and all("need N < 2^31" in ln for ln in lines), lines
+    assert len(lines) == 9 and all("need N < 2^31" in ln for ln in lines), lines
